@@ -7,7 +7,6 @@ from .relations import (
     GroundSetMismatchError,
     all_relations,
     compose,
-    compose_power,
 )
 from .orders import (
     OrderValidationError,
@@ -15,13 +14,8 @@ from .orders import (
     PartialOrder,
     down_set,
     from_comparabilities,
-    has_strict_chain,
-    longest_chain,
-    pointwise_leq,
-    product_order,
     pullback,
     strict_part,
-    up_set,
 )
 from .monoids import (
     ClosedMonoid,
@@ -39,7 +33,6 @@ from .monoids import (
     surjective_monoid,
     total_monoid,
     universal_monoid,
-    validate_closed_antichain,
     validate_closed_predicate,
 )
 from .dmp import (
@@ -49,13 +42,10 @@ from .dmp import (
     Preference,
     alpha,
     apply_morphism,
-    beta_both_explicit,
-    beta_explicit,
     characteristic_sets,
     check_functoriality,
     check_regularity,
     derive,
-    dual_beta_explicit,
     dualize,
     is_suitable,
     pareto,
@@ -72,5 +62,3 @@ from .lattice import (
     preference_census,
     represent_relation,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -50,8 +50,8 @@ class InputError(Exception):
 
 def _load_dmp(path: str) -> DMP:
     try:
-        return parse_dmp(Path(path).read_text())
-    except OSError as exc:
+        return parse_dmp(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except DmpParseError as exc:
         raise InputError(f"{path}: {exc}") from None
@@ -194,9 +194,13 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     if game is not None:
         states = game.states
     else:
+        if args.states < 1:
+            raise InputError(f"--states must be at least 1, got {args.states}")
         states = GroundSet(tuple(f"y{i + 1}" for i in range(args.states)))
 
     if args.generated:
+        if args.max_gens < 0:
+            raise InputError(f"--max-gens must be at least 0, got {args.max_gens}")
         monoids = enumerate_generated(states, max_generators=args.max_gens)
         print(f"{len(monoids)} closed submonoids generated by up to "
               f"{args.max_gens} relations on {states.size} states")
@@ -238,10 +242,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.morphism:
         try:
             mapping, target = parse_morphism(
-                Path(args.morphism).read_text(), game.outcomes.ground
+                Path(args.morphism).read_text(encoding="utf-8"), game.outcomes.ground
             )
             morphism, _ = apply_morphism(game, mapping, target)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.morphism}: {exc}") from None
         except (DmpParseError, MorphismError) as exc:
             raise InputError(f"{args.morphism}: {exc}") from None

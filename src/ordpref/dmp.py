@@ -113,36 +113,40 @@ class Preference:
 # -- basic derived relations -------------------------------------------------
 
 
+def _up_masks(game: DMP, leq: BinaryRelation) -> list[list[int]]:
+    """up[k][a] is the bitmask of states y with a leq F(x_k, y).
+
+    Row j of the state-preference relation of (x_i, x_k), read through
+    `leq`, is then up[k][F(x_i, y_j)].  derive, pareto and strict_pareto
+    all read these rows, so a pair costs one lookup per state.
+    """
+    return [
+        [sum(1 << j for j, b in enumerate(row) if above >> b & 1) for above in leq.rows]
+        for row in game.table
+    ]
+
+
+def _diagonal_preference(game: DMP, leq: BinaryRelation) -> BinaryRelation:
+    """(x1, x2) iff F(x1, y) leq F(x2, y) in every state y: the diagonal of
+    the state-preference relation is full."""
+    up = _up_masks(game, leq)
+    pairs = (
+        (i, k)
+        for i, row in enumerate(game.table)
+        for k, up_k in enumerate(up)
+        if all(up_k[a] >> j & 1 for j, a in enumerate(row))
+    )
+    return BinaryRelation.from_index_pairs(game.strategies, pairs)
+
+
 def pareto(game: DMP) -> Preference:
     """(x1, x2) iff the x2 row dominates the x1 row in every state."""
-    leq = game.outcomes.leq
-    n = game.strategies.size
-    rows = []
-    for i in range(n):
-        acc = 0
-        for k in range(n):
-            if all(
-                leq.holds_index(game.table[i][j], game.table[k][j])
-                for j in range(game.states.size)
-            ):
-                acc |= 1 << k
-        rows.append(acc)
-    return Preference(game.strategies, BinaryRelation(game.strategies, tuple(rows)))
+    return Preference(game.strategies, _diagonal_preference(game, game.outcomes.leq))
 
 
 def strict_pareto(game: DMP) -> BinaryRelation:
     """(x1, x2) iff the x2 row strictly dominates in every state."""
-    strict = strict_part(game.outcomes)
-    n = game.strategies.size
-    pairs = []
-    for i in range(n):
-        for k in range(n):
-            if all(
-                strict.holds_index(game.table[i][j], game.table[k][j])
-                for j in range(game.states.size)
-            ):
-                pairs.append((i, k))
-    return BinaryRelation.from_index_pairs(game.strategies, pairs)
+    return _diagonal_preference(game, strict_part(game.outcomes))
 
 
 def state_preference(game: DMP, x1: str, x2: str) -> BinaryRelation:
@@ -155,76 +159,15 @@ def derive(game: DMP, monoid: ClosedMonoid) -> Preference:
     the state-preference of the pair is a member of the monoid."""
     if monoid.ground != game.states:
         raise GroundSetMismatchError("monoid must live on the game's state set")
+    up = _up_masks(game, game.outcomes.leq)
     pairs = [
         (i, k)
-        for i, x1 in enumerate(game.strategies.labels)
-        for k, x2 in enumerate(game.strategies.labels)
-        if monoid.contains(state_preference(game, x1, x2))
+        for i, row in enumerate(game.table)
+        for k, up_k in enumerate(up)
+        if monoid.contains(BinaryRelation(game.states, tuple(up_k[a] for a in row)))
     ]
     rel = BinaryRelation.from_index_pairs(game.strategies, pairs)
     return Preference(game.strategies, rel)
-
-
-# -- explicit quantifier forms (oracles for derive) ---------------------------
-
-
-def _quantifier_preference(game: DMP, accept) -> Preference:
-    pairs = [
-        (i, k)
-        for i, x1 in enumerate(game.strategies.labels)
-        for k, x2 in enumerate(game.strategies.labels)
-        if accept(x1, x2)
-    ]
-    return Preference(
-        game.strategies, BinaryRelation.from_index_pairs(game.strategies, pairs)
-    )
-
-
-def beta_explicit(game: DMP) -> Preference:
-    """x1 <= x2 iff for every y1 some y2 has F(x1, y2) <= F(x2, y1)."""
-    leq = game.outcomes
-    ys = game.states.labels
-
-    def accept(x1: str, x2: str) -> bool:
-        return all(
-            any(leq.le(game.outcome(x1, y2), game.outcome(x2, y1)) for y2 in ys)
-            for y1 in ys
-        )
-
-    return _quantifier_preference(game, accept)
-
-
-def dual_beta_explicit(game: DMP) -> Preference:
-    """x1 <= x2 iff for every y1 some y2 has F(x1, y1) <= F(x2, y2)."""
-    leq = game.outcomes
-    ys = game.states.labels
-
-    def accept(x1: str, x2: str) -> bool:
-        return all(
-            any(leq.le(game.outcome(x1, y1), game.outcome(x2, y2)) for y2 in ys)
-            for y1 in ys
-        )
-
-    return _quantifier_preference(game, accept)
-
-
-def beta_both_explicit(game: DMP) -> Preference:
-    """Conjunction of beta and dual-beta domination."""
-    leq = game.outcomes
-    ys = game.states.labels
-
-    def accept(x1: str, x2: str) -> bool:
-        forward = all(
-            any(leq.le(game.outcome(x1, y1), game.outcome(x2, y2)) for y2 in ys)
-            for y1 in ys
-        )
-        backward = all(
-            any(leq.le(game.outcome(x1, y1), game.outcome(x2, y2)) for y1 in ys)
-            for y2 in ys
-        )
-        return forward and backward
-
-    return _quantifier_preference(game, accept)
 
 
 # -- alpha-domination and characteristic sets ---------------------------------
@@ -279,7 +222,8 @@ def characteristic_sets(game: DMP) -> CharacteristicSets:
     for y in game.states.labels:
         column = [game.outcome(x, y) for x in game.strategies.labels]
         upper &= down_set(game.outcomes, column, mode="union")
-    assert lower <= upper, "lower characteristic set must be inside the upper one"
+    if not lower <= upper:
+        raise RuntimeError("lower characteristic set is not inside the upper one")
     return CharacteristicSets(lower, upper, lower == upper)
 
 

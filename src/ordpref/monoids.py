@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 from .relations import (
     BinaryRelation,
@@ -96,14 +96,6 @@ class ClosedMonoid:
         # Fixed points persist upward under inclusion, so checking the
         # minimal members decides the whole up-set.
         return all(m.has_fixed_point() for m in self.min_antichain)
-
-    def members(self) -> Iterator[BinaryRelation]:
-        """Explicit member enumeration; only sensible for tiny ground sets."""
-        if self.ground.size > 3:
-            raise ValueError("member enumeration is limited to ground sets of size <= 3")
-        for rel in all_relations(self.ground):
-            if self.contains(rel):
-                yield rel
 
     def signature(self) -> str:
         return "|".join(str(m) for m in self.min_antichain)
@@ -268,15 +260,4 @@ def validate_closed_predicate(
                     False, axiom=3, witness=(a, rel),
                     message=f"up-closure fails: {a} is a member but {rel} is not",
                 )
-    return ValidationResult(True)
-
-
-def validate_closed_antichain(
-    ground: GroundSet, relations: Sequence[BinaryRelation]
-) -> ValidationResult:
-    """Check whether an antichain describes a closed submonoid (any size)."""
-    try:
-        ClosedMonoid(ground, tuple(relations))
-    except (MonoidConstructionError, GroundSetMismatchError) as exc:
-        return ValidationResult(False, message=str(exc))
     return ValidationResult(True)

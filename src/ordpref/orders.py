@@ -110,14 +110,6 @@ def _check_shapes(phi: OutcomeMap, psi: OutcomeMap, order: PartialOrder) -> None
         raise ValueError("map codomain must be the order's ground set")
 
 
-def pointwise_leq(phi: OutcomeMap, psi: OutcomeMap, order: PartialOrder) -> bool:
-    """phi <= psi pointwise in the given outcome order."""
-    _check_shapes(phi, psi, order)
-    return all(
-        order.leq.holds_index(a, b) for a, b in zip(phi.values, psi.values)
-    )
-
-
 def pullback(phi: OutcomeMap, psi: OutcomeMap, order: PartialOrder) -> BinaryRelation:
     """Relation on the shared domain: (y1, y2) iff phi(y1) <= psi(y2)."""
     _check_shapes(phi, psi, order)
@@ -133,23 +125,6 @@ def pullback(phi: OutcomeMap, psi: OutcomeMap, order: PartialOrder) -> BinaryRel
     return BinaryRelation(phi.domain, tuple(rows))
 
 
-def product_order(left: PartialOrder, right: PartialOrder) -> PartialOrder:
-    """Componentwise order on the cartesian product, labels "(a,b)"."""
-    labels = tuple(
-        f"({a},{b})" for a in left.ground.labels for b in right.ground.labels
-    )
-    ground = GroundSet(labels)
-    nb = right.ground.size
-    pairs = []
-    for i1, a1 in enumerate(left.ground.labels):
-        for j1, b1 in enumerate(right.ground.labels):
-            for i2, a2 in enumerate(left.ground.labels):
-                for j2, b2 in enumerate(right.ground.labels):
-                    if left.leq.holds_index(i1, i2) and right.leq.holds_index(j1, j2):
-                        pairs.append((i1 * nb + j1, i2 * nb + j2))
-    return PartialOrder(ground, BinaryRelation.from_index_pairs(ground, pairs))
-
-
 def down_set(order: PartialOrder, subset: Iterable[str], mode: str = "bounds") -> frozenset[str]:
     """Elements below `subset`.
 
@@ -157,47 +132,12 @@ def down_set(order: PartialOrder, subset: Iterable[str], mode: str = "bounds") -
     mode="union":  union of principal ideals, {a | a <= s for some s}.
     """
     idx = [order.ground.index(s) for s in subset]
-    return _quantified(order.leq, idx, mode, below=True)
-
-
-def up_set(order: PartialOrder, subset: Iterable[str], mode: str = "bounds") -> frozenset[str]:
-    """Elements above `subset`; modes as in `down_set`."""
-    idx = [order.ground.index(s) for s in subset]
-    return _quantified(order.leq, idx, mode, below=False)
-
-
-def _quantified(leq: BinaryRelation, idx: list[int], mode: str, below: bool) -> frozenset[str]:
     if mode not in ("bounds", "union"):
         raise ValueError(f"mode must be 'bounds' or 'union', got {mode!r}")
-    labs = leq.ground.labels
+    labs = order.ground.labels
     out = []
-    for a in range(leq.ground.size):
-        hits = (
-            (leq.holds_index(a, s) if below else leq.holds_index(s, a)) for s in idx
-        )
+    for a in range(order.ground.size):
+        hits = (order.leq.holds_index(a, s) for s in idx)
         if all(hits) if mode == "bounds" else any(hits):
             out.append(labs[a])
     return frozenset(out)
-
-
-def longest_chain(order: PartialOrder) -> int:
-    """Number of elements in a longest chain of the order."""
-    strict = strict_part(order)
-    n = order.ground.size
-    memo: dict[int, int] = {}
-
-    def depth(i: int) -> int:
-        if i not in memo:
-            memo[i] = 1 + max(
-                (depth(j) for j in range(n) if strict.holds_index(i, j)), default=0
-            )
-        return memo[i]
-
-    return max(depth(i) for i in range(n))
-
-
-def has_strict_chain(order: PartialOrder, k: int) -> bool:
-    """True iff the order contains a strictly increasing chain of k elements."""
-    if k <= 0:
-        return True
-    return longest_chain(order) >= k

@@ -265,16 +265,6 @@ def compose(first: BinaryRelation, then: BinaryRelation) -> BinaryRelation:
     return BinaryRelation(first.ground, tuple(rows))
 
 
-def compose_power(rel: BinaryRelation, k: int) -> BinaryRelation:
-    """k-fold composition of `rel` with itself; k = 0 gives the identity."""
-    if k < 0:
-        raise ValueError("power must be non-negative")
-    acc = BinaryRelation.identity(rel.ground)
-    for _ in range(k):
-        acc = compose(acc, rel)
-    return acc
-
-
 def all_relations(ground: GroundSet) -> Iterator[BinaryRelation]:
     """All 2^(n*n) relations on `ground`, in a fixed deterministic order."""
     n = ground.size

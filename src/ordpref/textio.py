@@ -202,11 +202,7 @@ def render_preference(pref: Preference) -> str:
         cells = " ".join(
             f"{1 if pref.holds(x1, x2) else 0:>3}" for x2 in labels
         )
-        lines.append(f"{lab_pad(x1)} {cells}")
+        lines.append(f"{x1:>3} {cells}")
     for x1, x2 in pref.rel.pairs():
         lines.append(f"{x2} >= {x1}")
     return "\n".join(lines) + "\n"
-
-
-def lab_pad(label: str) -> str:
-    return f"{label:>3}"

@@ -9,7 +9,15 @@ import time
 
 import pytest
 
-from common import ground, random_partial_order
+from common import (
+    beta_both_explicit,
+    beta_explicit,
+    compose_power,
+    dual_beta_explicit,
+    ground,
+    longest_chain,
+    random_partial_order,
+)
 
 from ordpref import fixtures
 from ordpref.cli import main
@@ -17,13 +25,10 @@ from ordpref.dmp import (
     DMP,
     alpha,
     apply_morphism,
-    beta_both_explicit,
-    beta_explicit,
     characteristic_sets,
     check_functoriality,
     check_regularity,
     derive,
-    dual_beta_explicit,
     dualize,
     is_suitable,
     pareto,
@@ -43,11 +48,10 @@ from ordpref.monoids import (
 )
 from ordpref.orders import (
     from_comparabilities,
-    longest_chain,
     pullback,
     strict_part,
 )
-from ordpref.relations import BinaryRelation, GroundSet, all_relations, compose_power
+from ordpref.relations import BinaryRelation, GroundSet, all_relations
 
 
 def verdict(n: int, text: str) -> None:

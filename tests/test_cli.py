@@ -195,6 +195,28 @@ class TestMainCommands:
         assert main(["validate", "--dmp", "/nonexistent.dmp"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def assert_one_line_error(capsys, message):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_validate_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.dmp"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["validate", "--dmp", str(path)]) == 2
+        self.assert_one_line_error(capsys, "codec can't decode")
+
+    def test_check_non_utf8_morphism(self, example1_file, tmp_path, capsys):
+        morphism = tmp_path / "bad.mor"
+        morphism.write_bytes(b"\xff\xfe")
+        code = main(
+            ["check", "--dmp", example1_file, "--monoid", "pareto",
+             "--morphism", str(morphism)]
+        )
+        assert code == 2
+        self.assert_one_line_error(capsys, "codec can't decode")
+
     def test_validate_bad_file(self, tmp_path, capsys):
         path = tmp_path / "bad.dmp"
         path.write_text("junk\n")
@@ -269,6 +291,19 @@ class TestMainCommands:
     def test_lattice_three_states_needs_generated(self, capsys):
         assert main(["lattice", "--states", "3"]) == 2
         assert "exactly 2 states" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lattice", "--states", "0"], "--states must be at least 1, got 0"),
+            (["lattice", "--states", "-2", "--generated"], "--states must be at least 1"),
+            (["lattice", "--generated", "--max-gens", "-1"],
+             "--max-gens must be at least 0, got -1"),
+        ],
+    )
+    def test_lattice_out_of_range_arguments(self, argv, message, capsys):
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys, message)
 
     def test_bad_monoid_spec_is_input_error(self, example1_file, capsys):
         assert main(["derive", "--dmp", example1_file, "--monoid", "nope"]) == 2

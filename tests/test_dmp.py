@@ -3,22 +3,25 @@ import random
 
 import pytest
 
-from common import ground, random_partial_order
+from common import (
+    beta_both_explicit,
+    beta_explicit,
+    dual_beta_explicit,
+    ground,
+    random_partial_order,
+)
 
-from ordpref import fixtures
+from ordpref import dmp, fixtures
 from ordpref.dmp import (
     DMP,
     MorphismError,
     Preference,
     alpha,
     apply_morphism,
-    beta_both_explicit,
-    beta_explicit,
     characteristic_sets,
     check_functoriality,
     check_regularity,
     derive,
-    dual_beta_explicit,
     dualize,
     is_suitable,
     pareto,
@@ -195,8 +198,16 @@ class TestAlphaAndValue:
         rng = random.Random(23)
         for _ in range(60):
             g = random_dmp(rng, nx=3, ny=2, na=4)
-            cs = characteristic_sets(g)  # asserts lower <= upper internally
+            cs = characteristic_sets(g)  # checks lower <= upper internally
             assert cs.lower <= cs.upper
+
+    def test_broken_invariant_raises(self, monkeypatch):
+        # Not reachable on a valid game; forcing it shows the check is a
+        # real raise, which `python -O` does not strip.
+        everything = frozenset(fixtures.five_lattice().ground.labels)
+        monkeypatch.setattr(dmp, "guaranteed_outcomes", lambda game, x: everything)
+        with pytest.raises(RuntimeError, match="lower characteristic set"):
+            characteristic_sets(fixtures.example1())
 
     def test_constant_game(self):
         g = DMP(GroundSet(("x1", "x2")), ground(2), fixtures.five_lattice(), ((2, 2), (2, 2)))

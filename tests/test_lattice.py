@@ -1,6 +1,6 @@
 import pytest
 
-from common import ground
+from common import ground, longest_chain
 
 from ordpref.dmp import DMP, derive, pareto, state_preference
 from ordpref.fixtures import five_lattice
@@ -159,8 +159,6 @@ class TestRepresentation:
 
     def test_order_is_at_most_two_levels(self):
         order, _, _ = represent_relation(BinaryRelation.full(Y3))
-        from ordpref.orders import longest_chain
-
         assert longest_chain(order) == 2
 
 

@@ -21,7 +21,6 @@ from ordpref.monoids import (
     surjective_monoid,
     total_monoid,
     universal_monoid,
-    validate_closed_antichain,
     validate_closed_predicate,
 )
 from ordpref.relations import BinaryRelation, all_relations, compose
@@ -215,11 +214,11 @@ class TestValidation:
 
     def test_antichain_mode_accepts_canonical(self):
         m = surjective_monoid(Y3)
-        assert validate_closed_antichain(Y3, m.min_antichain).ok
+        assert ClosedMonoid(Y3, m.min_antichain) == m
 
     def test_antichain_mode_rejects_non_monoid(self):
-        result = validate_closed_antichain(Y2, (rel(Y2, ("y1", "y2")),))
-        assert not result.ok
+        with pytest.raises(MonoidConstructionError):
+            ClosedMonoid(Y2, (rel(Y2, ("y1", "y2")),))
 
     def test_constructor_rejects_comparable_antichain(self):
         with pytest.raises(MonoidConstructionError):

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from common import ground, pair_compose, random_partial_order
+from common import (
+    compose_power,
+    ground,
+    has_strict_chain,
+    longest_chain,
+    pair_compose,
+    pointwise_leq,
+    product_order,
+    random_partial_order,
+)
 
 from ordpref.fixtures import five_lattice
 from ordpref.orders import (
@@ -13,14 +22,10 @@ from ordpref.orders import (
     PartialOrder,
     down_set,
     from_comparabilities,
-    has_strict_chain,
-    longest_chain,
-    pointwise_leq,
-    product_order,
     pullback,
     strict_part,
 )
-from ordpref.relations import BinaryRelation, GroundSet, all_relations, compose_power
+from ordpref.relations import BinaryRelation, GroundSet, all_relations
 
 Y2 = ground(2)
 AB = GroundSet(("a", "b"))
