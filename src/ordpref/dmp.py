@@ -14,16 +14,14 @@ least as preferable as x1".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .monoids import ClosedMonoid
-from .orders import (
-    OutcomeMap,
-    PartialOrder,
-    down_set,
-    pullback,
-    strict_part,
-)
+from .orders import OutcomeMap, PartialOrder, down_set, strict_part
+# Not used here: kept as `dmp.pullback`, the name bench/replay.py counts
+# pullback calls through.
+from .orders import pullback  # noqa: F401
 from .relations import BinaryRelation, GroundSet, GroundSetMismatchError
 
 
@@ -72,6 +70,11 @@ class DMP:
         i = self.strategies.index(x)
         return OutcomeMap(self.states, self.outcomes.ground, self.table[i])
 
+    @cached_property
+    def _up(self) -> list[list[int]]:
+        """Up-masks through the outcome order, built once per game."""
+        return _up_masks(self, self.outcomes.leq)
+
 
 @dataclass(frozen=True)
 class Preference:
@@ -117,8 +120,7 @@ def _up_masks(game: DMP, leq: BinaryRelation) -> list[list[int]]:
     """up[k][a] is the bitmask of states y with a leq F(x_k, y).
 
     Row j of the state-preference relation of (x_i, x_k), read through
-    `leq`, is then up[k][F(x_i, y_j)].  derive, pareto and strict_pareto
-    all read these rows, so a pair costs one lookup per state.
+    `leq`, is then up[k][F(x_i, y_j)], so a pair costs one lookup per state.
     """
     return [
         [sum(1 << j for j, b in enumerate(row) if above >> b & 1) for above in leq.rows]
@@ -126,10 +128,10 @@ def _up_masks(game: DMP, leq: BinaryRelation) -> list[list[int]]:
     ]
 
 
-def _diagonal_preference(game: DMP, leq: BinaryRelation) -> BinaryRelation:
-    """(x1, x2) iff F(x1, y) leq F(x2, y) in every state y: the diagonal of
-    the state-preference relation is full."""
-    up = _up_masks(game, leq)
+def _diagonal_preference(game: DMP, up: list[list[int]]) -> BinaryRelation:
+    """(x1, x2) iff F(x1, y) is below F(x2, y) in every state y, for the
+    order the up-masks were read from: the diagonal of the state-preference
+    relation is full."""
     pairs = (
         (i, k)
         for i, row in enumerate(game.table)
@@ -141,17 +143,24 @@ def _diagonal_preference(game: DMP, leq: BinaryRelation) -> BinaryRelation:
 
 def pareto(game: DMP) -> Preference:
     """(x1, x2) iff the x2 row dominates the x1 row in every state."""
-    return Preference(game.strategies, _diagonal_preference(game, game.outcomes.leq))
+    return Preference(game.strategies, _diagonal_preference(game, game._up))
 
 
 def strict_pareto(game: DMP) -> BinaryRelation:
     """(x1, x2) iff the x2 row strictly dominates in every state."""
-    return _diagonal_preference(game, strict_part(game.outcomes))
+    return _diagonal_preference(game, _up_masks(game, strict_part(game.outcomes)))
 
 
 def state_preference(game: DMP, x1: str, x2: str) -> BinaryRelation:
-    """Relation on states: (y1, y2) iff F(x1, y1) <= F(x2, y2)."""
-    return pullback(game.f_star(x1), game.f_star(x2), game.outcomes)
+    """Relation on states: (y1, y2) iff F(x1, y1) <= F(x2, y2).
+
+    Row y1 is the set of states where x2 reaches at least F(x1, y1), read
+    off the game's up-masks; derive and the regularity check build every
+    state-preference here.
+    """
+    up = game._up[game.strategies.index(x2)]
+    row = game.table[game.strategies.index(x1)]
+    return BinaryRelation(game.states, tuple(up[a] for a in row))
 
 
 def derive(game: DMP, monoid: ClosedMonoid) -> Preference:
@@ -159,12 +168,12 @@ def derive(game: DMP, monoid: ClosedMonoid) -> Preference:
     the state-preference of the pair is a member of the monoid."""
     if monoid.ground != game.states:
         raise GroundSetMismatchError("monoid must live on the game's state set")
-    up = _up_masks(game, game.outcomes.leq)
+    labels = game.strategies.labels
     pairs = [
         (i, k)
-        for i, row in enumerate(game.table)
-        for k, up_k in enumerate(up)
-        if monoid.contains(BinaryRelation(game.states, tuple(up_k[a] for a in row)))
+        for i, x1 in enumerate(labels)
+        for k, x2 in enumerate(labels)
+        if monoid.contains(state_preference(game, x1, x2))
     ]
     rel = BinaryRelation.from_index_pairs(game.strategies, pairs)
     return Preference(game.strategies, rel)

@@ -38,6 +38,15 @@ def random_partial_order(rng: random.Random, g: GroundSet, density: float = 0.4)
     return PartialOrder(g, rel)
 
 
+def random_dmp(rng: random.Random, nx: int = 2, ny: int = 2, na: int = 3) -> DMP:
+    """Random game on strategies x1.., states y1.. and a random order on a0..."""
+    strategies = GroundSet(tuple(f"x{i + 1}" for i in range(nx)))
+    states = ground(ny)
+    outcomes = random_partial_order(rng, GroundSet(tuple(f"a{i}" for i in range(na))))
+    table = tuple(tuple(rng.randrange(na) for _ in range(ny)) for _ in range(nx))
+    return DMP(strategies, states, outcomes, table)
+
+
 # -- set-based oracles, independent of the bitmask implementation -------------
 
 

@@ -16,6 +16,7 @@ from common import (
     dual_beta_explicit,
     ground,
     longest_chain,
+    random_dmp,
     random_partial_order,
 )
 
@@ -165,7 +166,7 @@ def test_criterion_2_formula_equivalences():
 
 
 def test_criterion_3_functor_properties():
-    from test_dmp import random_dmp, random_isotone_morphism
+    from test_dmp import random_isotone_morphism
 
     rng = random.Random(2026)
     cases = 0
@@ -260,8 +261,6 @@ def test_criterion_5_two_state_lattice():
 
 
 def test_criterion_6_suitability():
-    from test_dmp import random_dmp
-
     rng = random.Random(6060)
     checked = 0
 

@@ -8,7 +8,7 @@ from common import (
     beta_explicit,
     dual_beta_explicit,
     ground,
-    random_partial_order,
+    random_dmp,
 )
 
 from ordpref import dmp, fixtures
@@ -41,16 +41,6 @@ from ordpref.monoids import (
 )
 from ordpref.orders import PartialOrder, from_comparabilities, strict_part
 from ordpref.relations import BinaryRelation, GroundSet, all_relations
-
-
-def random_dmp(rng, nx=2, ny=2, na=3):
-    strategies = GroundSet(tuple(f"x{i + 1}" for i in range(nx)))
-    states = ground(ny)
-    outcomes = random_partial_order(rng, GroundSet(tuple(f"a{i}" for i in range(na))))
-    table = tuple(
-        tuple(rng.randrange(na) for _ in range(ny)) for _ in range(nx)
-    )
-    return DMP(strategies, states, outcomes, table)
 
 
 class TestFStar:
@@ -129,12 +119,19 @@ class TestDerive:
         )
 
     def test_explicit_beta_forms_agree(self):
+        monoids = {
+            n: (surjective_monoid(ground(n)), total_monoid(ground(n)), beta_both_monoid(ground(n)))
+            for n in (1, 2, 3)
+        }
         rng = random.Random(5)
         for _ in range(40):
-            g = random_dmp(rng, ny=rng.randrange(1, 4), na=rng.randrange(1, 5))
-            assert derive(g, surjective_monoid(g.states)).rel == beta_explicit(g).rel
-            assert derive(g, total_monoid(g.states)).rel == dual_beta_explicit(g).rel
-            assert derive(g, beta_both_monoid(g.states)).rel == beta_both_explicit(g).rel
+            g = random_dmp(
+                rng, nx=rng.randint(1, 40), ny=rng.randrange(1, 4), na=rng.randint(1, 12)
+            )
+            beta, dual_beta, beta_both = monoids[g.states.size]
+            assert derive(g, beta).rel == beta_explicit(g).rel
+            assert derive(g, dual_beta).rel == dual_beta_explicit(g).rel
+            assert derive(g, beta_both).rel == beta_both_explicit(g).rel
 
     def test_example1_beta_both_ways(self):
         g = fixtures.example1()

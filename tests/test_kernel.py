@@ -1,30 +1,22 @@
-"""Differential tests of the shared state-preference kernel behind derive,
+"""Differential tests of the up-mask kernel behind state_preference, derive,
 pareto and strict_pareto, on seeded random games with 1-8 states, up to 40
-strategies and 1-12 outcomes."""
+strategies and 1-12 outcomes.  The reference state-preference is the
+pullback of the two strategies' outcome maps, its definition."""
 
 import random
 
-from common import (
-    beta_both_explicit,
-    beta_explicit,
-    dual_beta_explicit,
-    ground,
-    pareto_pairs,
-)
-from test_dmp import random_dmp
+from common import pareto_pairs, random_dmp
 
 from ordpref.dmp import derive, pareto, state_preference, strict_pareto
 from ordpref.monoids import (
     atom_monoid,
-    beta_both_monoid,
     closure,
     dictator_monoid,
     filter_monoid,
     reflexive_monoid,
-    surjective_monoid,
-    total_monoid,
     universal_monoid,
 )
+from ordpref.orders import pullback
 from ordpref.relations import BinaryRelation
 
 
@@ -63,14 +55,25 @@ def index_pairs(rel):
     return set(rel.index_pairs())
 
 
-def test_derive_matches_per_pair_state_preference():
-    for rng, game in random_games(seed=101, count=30):
+def pullback_rhos(game):
+    labels = game.strategies.labels
+    return {
+        (i, k): pullback(game.f_star(x1), game.f_star(x2), game.outcomes)
+        for i, x1 in enumerate(labels)
+        for k, x2 in enumerate(labels)
+    }
+
+
+def test_state_preference_matches_pullback():
+    for _, game in random_games(seed=404, count=60):
         labels = game.strategies.labels
-        rhos = {
-            (i, k): state_preference(game, x1, x2)
-            for i, x1 in enumerate(labels)
-            for k, x2 in enumerate(labels)
-        }
+        for (i, k), rho in pullback_rhos(game).items():
+            assert state_preference(game, labels[i], labels[k]) == rho
+
+
+def test_derive_matches_per_pair_pullback():
+    for rng, game in random_games(seed=101, count=30):
+        rhos = pullback_rhos(game)
         for monoid in sample_monoids(rng, game.states):
             expected = {pair for pair, rho in rhos.items() if monoid.contains(rho)}
             assert index_pairs(derive(game, monoid).rel) == expected
@@ -80,15 +83,3 @@ def test_pareto_and_strict_pareto_match_set_oracle():
     for _, game in random_games(seed=202, count=200):
         assert index_pairs(pareto(game).rel) == pareto_pairs(game)
         assert index_pairs(strict_pareto(game)) == pareto_pairs(game, strict=True)
-
-
-def test_beta_family_matches_explicit_forms():
-    monoids = {
-        n: (surjective_monoid(ground(n)), total_monoid(ground(n)), beta_both_monoid(ground(n)))
-        for n in (1, 2, 3)
-    }
-    for _, game in random_games(seed=303, count=40, max_states=3):
-        beta, dual_beta, beta_both = monoids[game.states.size]
-        assert derive(game, beta).rel == beta_explicit(game).rel
-        assert derive(game, dual_beta).rel == dual_beta_explicit(game).rel
-        assert derive(game, beta_both).rel == beta_both_explicit(game).rel
