@@ -33,7 +33,6 @@ from .monoids import (
     surjective_monoid,
     total_monoid,
     universal_monoid,
-    validate_closed_predicate,
 )
 from .dmp import (
     DMP,

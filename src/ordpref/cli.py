@@ -201,7 +201,10 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     if args.generated:
         if args.max_gens < 0:
             raise InputError(f"--max-gens must be at least 0, got {args.max_gens}")
-        monoids = enumerate_generated(states, max_generators=args.max_gens)
+        try:
+            monoids = enumerate_generated(states, max_generators=args.max_gens)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         print(f"{len(monoids)} closed submonoids generated by up to "
               f"{args.max_gens} relations on {states.size} states")
         return 0

@@ -94,23 +94,17 @@ class Preference:
         return self.rel.holds(x1, x2)
 
     def maximal(self) -> tuple[str, ...]:
-        """Strategies not strictly below any other in the preorder."""
-        out = []
-        for x in self.ground.labels:
-            if not any(
-                self.rel.holds(x, z) and not self.rel.holds(z, x)
-                for z in self.ground.labels
-            ):
-                out.append(x)
-        return tuple(out)
+        """Strategies not strictly below any other in the preorder: their
+        rows of the strict part are empty."""
+        strict = self.rel.difference(self.rel.inverse())
+        return tuple(x for x, row in zip(self.ground.labels, strict.rows) if not row)
 
     def greatest(self) -> tuple[str, ...]:
-        """Strategies at least as preferable as every other one."""
-        return tuple(
-            x
-            for x in self.ground.labels
-            if all(self.rel.holds(z, x) for z in self.ground.labels)
-        )
+        """Strategies at least as preferable as every other one: their
+        columns are full."""
+        full = (1 << self.ground.size) - 1
+        columns = self.rel.inverse().rows
+        return tuple(x for x, col in zip(self.ground.labels, columns) if col == full)
 
 
 # -- basic derived relations -------------------------------------------------
@@ -160,7 +154,7 @@ def state_preference(game: DMP, x1: str, x2: str) -> BinaryRelation:
     """
     up = game._up[game.strategies.index(x2)]
     row = game.table[game.strategies.index(x1)]
-    return BinaryRelation(game.states, tuple(up[a] for a in row))
+    return BinaryRelation.from_rows(game.states, [up[a] for a in row])
 
 
 def derive(game: DMP, monoid: ClosedMonoid) -> Preference:
@@ -325,10 +319,8 @@ def check_functoriality(
     Returns (holds, violating strategy pair or None)."""
     src_pref = derive(morphism.source, monoid)
     tgt_pref = derive(morphism.target, monoid)
-    for x1, x2 in src_pref.rel.pairs():
-        if not tgt_pref.holds(x1, x2):
-            return False, (x1, x2)
-    return True, None
+    lost = src_pref.rel.difference(tgt_pref.rel).pairs()
+    return (False, lost[0]) if lost else (True, None)
 
 
 @dataclass(frozen=True)
@@ -362,8 +354,5 @@ def is_suitable(game: DMP, pref: Preference) -> tuple[bool, tuple[str, str] | No
     Returns (verdict, witness pair in the preference or None)."""
     if pref.ground != game.strategies:
         raise ValueError("preference must live on the game's strategy set")
-    strict = strict_pareto(game)
-    for x1, x2 in pref.rel.pairs():
-        if strict.holds(x2, x1):
-            return False, (x1, x2)
-    return True, None
+    reversed_strict = pref.rel.intersection(strict_pareto(game).inverse()).pairs()
+    return (False, reversed_strict[0]) if reversed_strict else (True, None)

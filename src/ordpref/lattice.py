@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 from .dmp import DMP, Preference, derive
@@ -45,9 +46,8 @@ class MonoidLattice:
     greatest: int
 
 
-def _rel_from_id(ground: GroundSet, rel_id: int) -> BinaryRelation:
-    # 2x2 relation encoded in 4 bits: bit (2*i + j) is cell (i, j)
-    return BinaryRelation(ground, (rel_id & 3, (rel_id >> 2) & 3))
+# Most closures `enumerate_generated` takes: one per relation on 4 states.
+MAX_GENERATED_CLOSURES = 65_536
 
 
 def enumerate_exhaustive(ground: GroundSet) -> MonoidLattice:
@@ -57,32 +57,28 @@ def enumerate_exhaustive(ground: GroundSet) -> MonoidLattice:
             "exhaustive enumeration supports exactly 2 states; "
             "use enumerate_generated for larger sets"
         )
-    rels = [_rel_from_id(ground, r) for r in range(16)]
-    identity_id = rels.index(BinaryRelation.identity(ground))
-    comp = [[rels.index(compose(a, b)) for b in rels] for a in rels]
-    # supersets of each relation, as a 16-bit mask over relation ids
-    sup_mask = [0] * 16
-    for r in range(16):
-        for s in range(16):
-            if r & ~s == 0:
-                sup_mask[r] |= 1 << s
+    # a relation's id is its own bits, so rels[r].bits == r
+    rels = list(all_relations(ground))
+    identity_id = BinaryRelation.identity(ground).bits
+    comp = [[compose(a, b).bits for b in rels] for a in rels]
+    # A family is a 16-bit mask over relation ids.  It is up-closed iff adding
+    # any one cell c to a member r without it, id r + c, gives a member.
+    steps = [
+        (sum(1 << r.bits for r in rels if not cell.is_subset(r)), cell.bits)
+        for cell in rels
+        if cell.count() == 1
+    ]
     member_masks = []
     for family in range(1 << 16):
         if not family >> identity_id & 1:
             continue
-        ok = True
-        f = family
-        while f:
-            r = (f & -f).bit_length() - 1
-            f &= f - 1
-            if sup_mask[r] & ~family:
-                ok = False
+        for without, cell in steps:
+            if (family & without) << cell & ~family:
                 break
-        if not ok:
-            continue
-        ids = [r for r in range(16) if family >> r & 1]
-        if all(family >> comp[a][b] & 1 for a in ids for b in ids):
-            member_masks.append(family)
+        else:
+            ids = [r for r in range(16) if family >> r & 1]
+            if all(family >> comp[a][b] & 1 for a in ids for b in ids):
+                member_masks.append(family)
     member_masks.sort(key=lambda m: (m.bit_count(), m))
     elements = []
     for family in member_masks:
@@ -120,10 +116,20 @@ def enumerate_generated(
     ground: GroundSet,
     pool: Iterable[BinaryRelation] | None = None,
     max_generators: int = 1,
-    limit: int | None = 100_000,
 ) -> list[ClosedMonoid]:
-    """Closures of all generator subsets up to `max_generators`, deduplicated."""
-    pool_rels = list(pool) if pool is not None else list(all_relations(ground))
+    """Closures of all generator subsets up to `max_generators`, deduplicated.
+    Raises ValueError, before taking any, if there are more than
+    MAX_GENERATED_CLOSURES of them."""
+    pool_rels = list(pool) if pool is not None else None
+    size = 1 << ground.size**2 if pool_rels is None else len(pool_rels)
+    counts = itertools.accumulate(comb(size, k) for k in range(1, min(max_generators, size) + 1))
+    if any(c > MAX_GENERATED_CLOSURES for c in counts):
+        raise ValueError(
+            f"more than {MAX_GENERATED_CLOSURES} generator sets of up to "
+            f"{max_generators} of {size} relations"
+        )
+    if pool_rels is None:
+        pool_rels = list(all_relations(ground))
     seen: dict[tuple, ClosedMonoid] = {}
     base = reflexive_monoid(ground)
     seen[base.min_antichain] = base
@@ -131,8 +137,6 @@ def enumerate_generated(
         for gens in itertools.combinations(pool_rels, k):
             monoid = closure(ground, gens)
             seen.setdefault(monoid.min_antichain, monoid)
-            if limit is not None and len(seen) > limit:
-                raise RuntimeError(f"generated more than {limit} distinct monoids")
     return sorted(
         seen.values(), key=lambda m: tuple(rel.rows for rel in m.min_antichain)
     )
@@ -156,10 +160,10 @@ def preference_census(
     prefs: dict[tuple[int, ...], Preference] = {}
     for idx, monoid in enumerate(lattice.elements):
         pref = derive(game, monoid)
-        groups.setdefault(pref.rel.rows, []).append(idx)
-        prefs.setdefault(pref.rel.rows, pref)
+        groups.setdefault(pref.rel.bits, []).append(idx)
+        prefs.setdefault(pref.rel.bits, pref)
     ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
-    return [(prefs[rows], tuple(idxs)) for rows, idxs in ordered]
+    return [(prefs[bits], tuple(idxs)) for bits, idxs in ordered]
 
 
 def represent_relation(

@@ -15,15 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .relations import (
-    BinaryRelation,
-    GroundSet,
-    GroundSetMismatchError,
-    all_relations,
-    compose,
-)
+from .relations import BinaryRelation, GroundSet, GroundSetMismatchError, compose
 
 
 class MonoidConstructionError(ValueError):
@@ -31,12 +25,16 @@ class MonoidConstructionError(ValueError):
 
 
 def minimize(relations: Iterable[BinaryRelation]) -> list[BinaryRelation]:
-    """Inclusion-minimal elements, deduplicated, in canonical row order."""
-    rels = sorted(set(relations), key=lambda r: r.rows)
+    """Inclusion-minimal elements, deduplicated, in canonical row order
+    (lexicographic by rows, row 0 first).
+
+    Taking candidates by increasing size means no later one is a proper
+    subset of an earlier one, so a candidate is minimal iff no kept one is
+    inside it.
+    """
     out: list[BinaryRelation] = []
-    for r in rels:
+    for r in sorted(set(relations), key=BinaryRelation.count):
         if not any(m.is_subset(r) for m in out):
-            out = [m for m in out if not r.is_subset(m)]
             out.append(r)
     return sorted(out, key=lambda r: r.rows)
 
@@ -78,7 +76,8 @@ class ClosedMonoid:
     def contains(self, rel: BinaryRelation) -> bool:
         if rel.ground != self.ground:
             raise GroundSetMismatchError("relation on wrong ground set")
-        return any(m.is_subset(rel) for m in self.min_antichain)
+        outside = ~rel.bits
+        return any(m.bits & outside == 0 for m in self.min_antichain)
 
     def includes(self, other: "ClosedMonoid") -> bool:
         """Monoid inclusion: every member of `other` is a member of self."""
@@ -190,10 +189,8 @@ def atom_monoid(ground: GroundSet, state: str) -> ClosedMonoid:
     the single diagonal cell at `state` removed; an atom of the lattice."""
     if ground.size < 2:
         raise ValueError("atom monoid needs at least two states")
-    i = ground.index(state)
-    rows = list(BinaryRelation.full(ground).rows)
-    rows[i] &= ~(1 << i)
-    near_full = BinaryRelation(ground, tuple(rows))
+    cell = BinaryRelation.from_pairs(ground, [(state, state)])
+    near_full = BinaryRelation.full(ground).difference(cell)
     return ClosedMonoid.from_antichain(
         ground, [BinaryRelation.identity(ground), near_full]
     )
@@ -216,48 +213,3 @@ def join(a: ClosedMonoid, b: ClosedMonoid) -> ClosedMonoid:
         raise GroundSetMismatchError("monoids on different ground sets")
     return closure(a.ground, a.min_antichain + b.min_antichain)
 
-
-# -- validation --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    axiom: int | None = None
-    witness: tuple[BinaryRelation, ...] = ()
-    message: str = ""
-
-
-def validate_closed_predicate(
-    ground: GroundSet, member: Callable[[BinaryRelation], bool]
-) -> ValidationResult:
-    """Exhaustively check the closed-submonoid axioms of a membership
-    predicate; feasible only for ground sets of size <= 3.
-
-    Axiom 1: closed under composition.  Axiom 2: contains the identity.
-    Axiom 3: upward closed under inclusion.
-    """
-    if ground.size > 3:
-        raise ValueError("predicate validation is limited to ground sets of size <= 3")
-    members = [rel for rel in all_relations(ground) if member(rel)]
-    identity = BinaryRelation.identity(ground)
-    member_set = set(members)
-    if identity not in member_set:
-        return ValidationResult(False, axiom=2, witness=(identity,),
-                                message="identity relation is not a member")
-    for a in members:
-        for b in members:
-            prod = compose(a, b)
-            if prod not in member_set:
-                return ValidationResult(
-                    False, axiom=1, witness=(a, b, prod),
-                    message=f"composition escapes: {b}*{a} = {prod}",
-                )
-    for a in members:
-        for rel in all_relations(ground):
-            if a.is_subset(rel) and rel not in member_set:
-                return ValidationResult(
-                    False, axiom=3, witness=(a, rel),
-                    message=f"up-closure fails: {a} is a member but {rel} is not",
-                )
-    return ValidationResult(True)

@@ -9,6 +9,8 @@ engine derives reduces to membership tests on such pullbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .relations import BinaryRelation, GroundSet
@@ -113,16 +115,12 @@ def _check_shapes(phi: OutcomeMap, psi: OutcomeMap, order: PartialOrder) -> None
 def pullback(phi: OutcomeMap, psi: OutcomeMap, order: PartialOrder) -> BinaryRelation:
     """Relation on the shared domain: (y1, y2) iff phi(y1) <= psi(y2)."""
     _check_shapes(phi, psi, order)
-    n = phi.domain.size
-    rows = []
-    for i in range(n):
-        a = phi.values[i]
-        acc = 0
-        for j in range(n):
-            if order.leq.holds_index(a, psi.values[j]):
-                acc |= 1 << j
-        rows.append(acc)
-    return BinaryRelation(phi.domain, tuple(rows))
+    up = order.leq.rows
+    rows = [
+        sum(1 << j for j, b in enumerate(psi.values) if up[a] >> b & 1)
+        for a in phi.values
+    ]
+    return BinaryRelation.from_rows(phi.domain, rows)
 
 
 def down_set(order: PartialOrder, subset: Iterable[str], mode: str = "bounds") -> frozenset[str]:
@@ -134,10 +132,8 @@ def down_set(order: PartialOrder, subset: Iterable[str], mode: str = "bounds") -
     idx = [order.ground.index(s) for s in subset]
     if mode not in ("bounds", "union"):
         raise ValueError(f"mode must be 'bounds' or 'union', got {mode!r}")
-    labs = order.ground.labels
-    out = []
-    for a in range(order.ground.size):
-        hits = (order.leq.holds_index(a, s) for s in idx)
-        if all(hits) if mode == "bounds" else any(hits):
-            out.append(labs[a])
-    return frozenset(out)
+    targets = reduce(or_, (1 << s for s in idx), 0)
+    rows = zip(order.ground.labels, order.leq.rows)  # row a: the s with a <= s
+    if mode == "bounds":
+        return frozenset(a for a, up in rows if up & targets == targets)
+    return frozenset(a for a, up in rows if up & targets)

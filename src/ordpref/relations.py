@@ -1,19 +1,21 @@
 """Finite binary relations over an indexed ground set.
 
-A relation is stored densely as one bitmask per row: bit ``j`` of
-``rows[i]`` is set iff the pair (element i, element j) belongs to the
-relation.  Bitmask rows keep composition and subset tests word-parallel,
-which matters when enumerating all 2^(n*n) relations on a small set.
+A relation on n elements is one n*n-bit integer: the pair (element i,
+element j) belongs to it iff bit n*i + j is set, so row i is the n-bit mask
+``(bits >> n*i) & (2^n - 1)``.  Union, intersection, difference, inclusion
+and equality are single integer operations, and the relations on a set are
+the integers below 2^(n*n).  Pair-chasing operations unpack the rows once
+and walk bits only inside a row, never across the whole packed integer.
 
 All values are immutable; operations return new values.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from functools import cached_property, reduce
+from operator import lshift, or_
+from typing import Iterable, Iterator, Sequence
 
 
 class GroundSetMismatchError(ValueError):
@@ -53,12 +55,6 @@ class GroundSet:
     def __contains__(self, label: object) -> bool:
         return label in self._index
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def _check_same_ground(a: "BinaryRelation", b: "BinaryRelation") -> None:
     if a.ground != b.ground:
@@ -79,70 +75,90 @@ class RelationProfile:
     total: bool
 
 
+def _members(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a row mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class BinaryRelation:
     ground: GroundSet
-    rows: tuple[int, ...]
+    bits: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
         n = self.ground.size
-        if len(self.rows) != n:
-            raise ValueError(f"expected {n} rows, got {len(self.rows)}")
-        full = (1 << n) - 1
-        for r in self.rows:
-            if r & ~full:
-                raise ValueError(f"row mask {r:#x} exceeds ground size {n}")
+        if self.bits < 0 or self.bits.bit_length() > n * n:
+            raise ValueError(f"relation bits {self.bits:#x} exceed ground size {n}")
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_rows(cls, ground: GroundSet, rows: Sequence[int]) -> "BinaryRelation":
+        """Pack row masks: bit j of rows[i] is the pair (i, j)."""
+        n = ground.size
+        if len(rows) != n or min(rows) < 0 or max(rows) >> n:
+            raise ValueError(f"expected {n} row masks below 2^{n}, got {rows!r}")
+        return cls(ground, sum(map(lshift, rows, range(0, n * n, n))))
+
+    @classmethod
     def empty(cls, ground: GroundSet) -> "BinaryRelation":
-        return cls(ground, (0,) * ground.size)
+        return cls(ground, 0)
 
     @classmethod
     def identity(cls, ground: GroundSet) -> "BinaryRelation":
-        return cls(ground, tuple(1 << i for i in range(ground.size)))
+        n = ground.size
+        return cls(ground, sum(1 << (n + 1) * i for i in range(n)))
 
     @classmethod
     def full(cls, ground: GroundSet) -> "BinaryRelation":
-        mask = (1 << ground.size) - 1
-        return cls(ground, (mask,) * ground.size)
+        return cls(ground, (1 << ground.size**2) - 1)
 
     @classmethod
     def from_pairs(cls, ground: GroundSet, pairs: Iterable[tuple[str, str]]) -> "BinaryRelation":
-        rows = [0] * ground.size
-        for u, v in pairs:
-            rows[ground.index(u)] |= 1 << ground.index(v)
-        return cls(ground, tuple(rows))
+        return cls.from_index_pairs(
+            ground, ((ground.index(u), ground.index(v)) for u, v in pairs)
+        )
 
     @classmethod
     def from_index_pairs(cls, ground: GroundSet, pairs: Iterable[tuple[int, int]]) -> "BinaryRelation":
         rows = [0] * ground.size
         for i, j in pairs:
             rows[i] |= 1 << j
-        return cls(ground, tuple(rows))
+        return cls.from_rows(ground, rows)
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row masks, unpacked from `bits`: bit j of rows[i] is the pair (i, j)."""
+        n = self.ground.size
+        full = (1 << n) - 1
+        return tuple([self.bits >> k & full for k in range(0, n * n, n)])
+
     def holds(self, u: str, v: str) -> bool:
-        return bool(self.rows[self.ground.index(u)] >> self.ground.index(v) & 1)
+        return self.holds_index(self.ground.index(u), self.ground.index(v))
 
     def holds_index(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
+        n = self.ground.size
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"cell ({i}, {j}) outside a ground set of size {n}")
+        return bool(self.bits >> n * i + j & 1)
 
     def index_pairs(self) -> tuple[tuple[int, int], ...]:
-        n = self.ground.size
-        return tuple(
-            (i, j) for i in range(n) for j in range(n) if self.rows[i] >> j & 1
-        )
+        return tuple((i, j) for i, r in enumerate(self.rows) for j in _members(r))
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         labs = self.ground.labels
         return tuple((labs[i], labs[j]) for i, j in self.index_pairs())
 
     def count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
+        return self.bits.bit_count()
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"({u},{v})" for u, v in self.pairs()) + "}"
@@ -151,30 +167,26 @@ class BinaryRelation:
 
     def union(self, other: "BinaryRelation") -> "BinaryRelation":
         _check_same_ground(self, other)
-        return BinaryRelation(self.ground, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return BinaryRelation(self.ground, self.bits | other.bits)
 
     def intersection(self, other: "BinaryRelation") -> "BinaryRelation":
         _check_same_ground(self, other)
-        return BinaryRelation(self.ground, tuple(a & b for a, b in zip(self.rows, other.rows)))
+        return BinaryRelation(self.ground, self.bits & other.bits)
 
     def difference(self, other: "BinaryRelation") -> "BinaryRelation":
         _check_same_ground(self, other)
-        return BinaryRelation(self.ground, tuple(a & ~b for a, b in zip(self.rows, other.rows)))
+        return BinaryRelation(self.ground, self.bits & ~other.bits)
 
     def is_subset(self, other: "BinaryRelation") -> bool:
         _check_same_ground(self, other)
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
+        return self.bits & ~other.bits == 0
 
     def inverse(self) -> "BinaryRelation":
-        n = self.ground.size
-        rows = [0] * n
-        for i in range(n):
-            r = self.rows[i]
-            while r:
-                j = (r & -r).bit_length() - 1
+        rows = [0] * self.ground.size
+        for i, r in enumerate(self.rows):
+            for j in _members(r):
                 rows[j] |= 1 << i
-                r &= r - 1
-        return BinaryRelation(self.ground, tuple(rows))
+        return BinaryRelation.from_rows(self.ground, rows)
 
     # -- projections and predicates ----------------------------------------
 
@@ -184,10 +196,7 @@ class BinaryRelation:
 
     def pr2(self) -> frozenset[str]:
         labs = self.ground.labels
-        mask = 0
-        for r in self.rows:
-            mask |= r
-        return frozenset(labs[j] for j in range(self.ground.size) if mask >> j & 1)
+        return frozenset(labs[j] for j in _members(reduce(or_, self.rows)))
 
     def pr_diag(self) -> frozenset[str]:
         labs = self.ground.labels
@@ -197,30 +206,21 @@ class BinaryRelation:
         return self.pr1(), self.pr2(), self.pr_diag()
 
     def has_fixed_point(self) -> bool:
-        return any(r >> i & 1 for i, r in enumerate(self.rows))
+        return self.bits & BinaryRelation.identity(self.ground).bits != 0
 
     def is_reflexive(self) -> bool:
-        return all(r >> i & 1 for i, r in enumerate(self.rows))
+        return BinaryRelation.identity(self.ground).is_subset(self)
 
     def is_transitive(self) -> bool:
         return compose(self, self).is_subset(self)
 
-    def is_antisymmetric(self) -> bool:
-        return self.intersection(self.inverse()).is_subset(BinaryRelation.identity(self.ground))
-
     def classify(self) -> RelationProfile:
-        n = self.ground.size
-        full = (1 << n) - 1
+        rows = self.rows
         reflexive = self.is_reflexive()
         square = compose(self, self)
         transitive = square.is_subset(self)
-        idempotent = square == self
-        antisymmetric = self.is_antisymmetric()
-        col_mask = 0
-        for r in self.rows:
-            col_mask |= r
-        surjective = col_mask == full
-        total = all(r != 0 for r in self.rows)
+        symmetric_part = self.intersection(self.inverse())
+        antisymmetric = symmetric_part.is_subset(BinaryRelation.identity(self.ground))
         preorder = reflexive and transitive
         return RelationProfile(
             reflexive=reflexive,
@@ -228,21 +228,18 @@ class BinaryRelation:
             antisymmetric=antisymmetric,
             preorder=preorder,
             partial_order=preorder and antisymmetric,
-            idempotent=idempotent,
-            surjective=surjective,
-            total=total,
+            idempotent=square == self,
+            surjective=reduce(or_, rows) == (1 << self.ground.size) - 1,
+            total=all(rows),
         )
 
     def transitive_closure(self) -> "BinaryRelation":
-        rows = list(self.rows)
-        n = self.ground.size
-        for k in range(n):
-            bit = 1 << k
-            row_k = rows[k]
-            for i in range(n):
-                if rows[i] & bit:
-                    rows[i] |= row_k
-        return BinaryRelation(self.ground, tuple(rows))
+        rel = self
+        while True:
+            wider = rel.union(compose(rel, rel))
+            if wider == rel:
+                return rel
+            rel = wider
 
 
 def compose(first: BinaryRelation, then: BinaryRelation) -> BinaryRelation:
@@ -250,24 +247,22 @@ def compose(first: BinaryRelation, then: BinaryRelation) -> BinaryRelation:
 
     result(i, k) holds iff there is j with first(i, j) and then(j, k).
     In conventional right-to-left notation this is `then . first`.
+
+    Row i of the result is the union of the rows j of `then` with (i, j) in
+    `first`.  For each j, ``first.bits >> j & column`` has bit n*i set for
+    exactly those i, so multiplying it by row j of `then` copies that row
+    into each of them; the copies do not overlap, so no carries occur.
     """
     _check_same_ground(first, then)
     n = first.ground.size
-    rows = []
-    for i in range(n):
-        acc = 0
-        r = first.rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            acc |= then.rows[j]
-            r &= r - 1
-        rows.append(acc)
-    return BinaryRelation(first.ground, tuple(rows))
+    column = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit n*i for every row i
+    bits = 0
+    for j, row in enumerate(then.rows):
+        bits |= (first.bits >> j & column) * row
+    return BinaryRelation(first.ground, bits)
 
 
 def all_relations(ground: GroundSet) -> Iterator[BinaryRelation]:
-    """All 2^(n*n) relations on `ground`, in a fixed deterministic order."""
-    n = ground.size
-    row_values = range(1 << n)
-    for rows in itertools.product(row_values, repeat=n):
-        yield BinaryRelation(ground, rows)
+    """All 2^(n*n) relations on `ground`, in the order of their bits."""
+    for bits in range(1 << ground.size**2):
+        yield BinaryRelation(ground, bits)

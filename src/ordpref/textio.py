@@ -198,10 +198,8 @@ def render_preference(pref: Preference) -> str:
     """Boolean matrix in strategy order plus readable pair lines."""
     labels = pref.ground.labels
     lines = ["    " + " ".join(f"{lab:>3}" for lab in labels)]
-    for x1 in labels:
-        cells = " ".join(
-            f"{1 if pref.holds(x1, x2) else 0:>3}" for x2 in labels
-        )
+    for x1, row in zip(labels, pref.rel.rows):
+        cells = " ".join(f"{row >> k & 1:>3}" for k in range(len(labels)))
         lines.append(f"{x1:>3} {cells}")
     for x1, x2 in pref.rel.pairs():
         lines.append(f"{x2} >= {x1}")

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Callable
 
 from hypothesis import strategies as st
 
 from ordpref.dmp import DMP, Preference
 from ordpref.orders import OutcomeMap, PartialOrder, strict_part
-from ordpref.relations import BinaryRelation, GroundSet, compose
+from ordpref.relations import BinaryRelation, GroundSet, all_relations, compose
 
 
 def ground(n: int) -> GroundSet:
@@ -16,9 +18,8 @@ def ground(n: int) -> GroundSet:
 
 
 def relation_strategy(g: GroundSet):
-    full = (1 << g.size) - 1
-    rows = st.tuples(*([st.integers(0, full)] * g.size))
-    return rows.map(lambda r: BinaryRelation(g, r))
+    bits = st.integers(0, (1 << g.size**2) - 1)
+    return bits.map(lambda b: BinaryRelation(g, b))
 
 
 def relations_on(sizes=(1, 2, 3)):
@@ -194,3 +195,46 @@ def beta_both_explicit(game: DMP) -> Preference:
         return forward and backward
 
     return _quantifier_preference(game, accept)
+
+
+@dataclass(frozen=True)
+class ValidationResult:
+    ok: bool
+    axiom: int | None = None
+    witness: tuple[BinaryRelation, ...] = ()
+    message: str = ""
+
+
+def validate_closed_predicate(
+    ground: GroundSet, member: Callable[[BinaryRelation], bool]
+) -> ValidationResult:
+    """Exhaustively check the closed-submonoid axioms of a membership
+    predicate; feasible only for ground sets of size <= 3.
+
+    Axiom 1: closed under composition.  Axiom 2: contains the identity.
+    Axiom 3: upward closed under inclusion.
+    """
+    if ground.size > 3:
+        raise ValueError("predicate validation is limited to ground sets of size <= 3")
+    members = [rel for rel in all_relations(ground) if member(rel)]
+    identity = BinaryRelation.identity(ground)
+    member_set = set(members)
+    if identity not in member_set:
+        return ValidationResult(False, axiom=2, witness=(identity,),
+                                message="identity relation is not a member")
+    for a in members:
+        for b in members:
+            prod = compose(a, b)
+            if prod not in member_set:
+                return ValidationResult(
+                    False, axiom=1, witness=(a, b, prod),
+                    message=f"composition escapes: {b}*{a} = {prod}",
+                )
+    for a in members:
+        for rel in all_relations(ground):
+            if a.is_subset(rel) and rel not in member_set:
+                return ValidationResult(
+                    False, axiom=3, witness=(a, rel),
+                    message=f"up-closure fails: {a} is a member but {rel} is not",
+                )
+    return ValidationResult(True)

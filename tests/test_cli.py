@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from common import ground
@@ -304,6 +306,12 @@ class TestMainCommands:
     def test_lattice_out_of_range_arguments(self, argv, message, capsys):
         assert main(argv) == 2
         self.assert_one_line_error(capsys, message)
+
+    def test_lattice_generated_too_large_fails_fast(self, capsys):
+        start = time.perf_counter()
+        assert main(["lattice", "--states", "5", "--generated"]) == 2
+        assert time.perf_counter() - start < 1.0
+        self.assert_one_line_error(capsys, "more than 65536 generator sets")
 
     def test_bad_monoid_spec_is_input_error(self, example1_file, capsys):
         assert main(["derive", "--dmp", example1_file, "--monoid", "nope"]) == 2

@@ -2,7 +2,10 @@
 fixture games, compared byte for byte.
 
 Each golden file holds an "exit: N" line followed by the command's exact
-stdout.  To record them again from the current code:
+stdout.  Two more files pin the canonical antichain order of the lattice
+module: the DOT export of the two-state lattice and the signatures of the
+generated three-state monoids.  To record them all again from the current
+code:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,7 +21,9 @@ import pytest
 
 from ordpref import fixtures
 from ordpref.cli import main
+from ordpref.lattice import enumerate_exhaustive, enumerate_generated, export_dot
 from ordpref.orders import strict_part
+from ordpref.relations import GroundSet
 from ordpref.textio import render_dmp
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,6 +69,19 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
+def _y(n: int) -> GroundSet:
+    return GroundSet(tuple(f"y{i + 1}" for i in range(n)))
+
+
+# Pinned lattice text: file name -> function producing it.
+PINS = {
+    "lattice-2states.dot": lambda: export_dot(enumerate_exhaustive(_y(2))),
+    "generated-3states.sig": lambda: "".join(
+        m.signature() + "\n" for m in enumerate_generated(_y(3))
+    ),
+}
+
+
 def _morphism_text() -> str:
     mapping, target = fixtures.example2_morphism()
     lines = [
@@ -105,6 +123,11 @@ def test_golden(name, paths):
     assert _run(CASES[name], paths).encode() == expected
 
 
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_pinned_lattice_text(name):
+    assert PINS[name]().encode() == (GOLDEN / name).read_bytes()
+
+
 def test_every_golden_file_has_a_case():
     assert {p.stem for p in GOLDEN.glob("*.txt")} == set(CASES)
 
@@ -117,4 +140,6 @@ if __name__ == "__main__":
         inputs = _write_inputs(Path(tmp))
         for case, argv in CASES.items():
             (GOLDEN / f"{case}.txt").write_bytes(_run(argv, inputs).encode())
-    print(f"wrote {len(CASES)} golden files to {GOLDEN}", file=sys.stderr)
+    for name, text in PINS.items():
+        (GOLDEN / name).write_bytes(text().encode())
+    print(f"wrote {len(CASES) + len(PINS)} golden files to {GOLDEN}", file=sys.stderr)

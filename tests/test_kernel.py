@@ -44,7 +44,7 @@ def sample_monoids(rng, states):
         monoids.append(atom_monoid(states, rng.choice(ys)))
     full = (1 << states.size) - 1
     gens = [
-        BinaryRelation(states, tuple(rng.randint(0, full) for _ in ys))
+        BinaryRelation.from_rows(states, [rng.randint(0, full) for _ in ys])
         for _ in range(2 if states.size <= 3 else 1)
     ]
     monoids.append(closure(states, gens))

@@ -97,8 +97,8 @@ class TestGeneratedEnumeration:
         assert set(got) == set(lattice.elements)
 
     def test_limit_guard(self):
-        with pytest.raises(RuntimeError):
-            enumerate_generated(Y3, max_generators=2, limit=10)
+        with pytest.raises(ValueError):
+            enumerate_generated(Y3, max_generators=2)
 
     def test_three_state_pool(self):
         pool = [m for _, m in canonical_names(Y3)]

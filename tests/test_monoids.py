@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import ground, relation_strategy
+from common import ground, relation_strategy, validate_closed_predicate
 
 from ordpref.monoids import (
     ClosedMonoid,
@@ -21,7 +21,6 @@ from ordpref.monoids import (
     surjective_monoid,
     total_monoid,
     universal_monoid,
-    validate_closed_predicate,
 )
 from ordpref.relations import BinaryRelation, all_relations, compose
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,66 @@ class TestBooleanOps:
     def test_equality_over_label_identical_grounds(self):
         other = GroundSet(("y1", "y2"))
         assert rel(Y2, ("y1", "y2")) == rel(other, ("y1", "y2"))
+
+
+def _cells(r):
+    """Index pairs read straight off the layout: (i, j) is bit n*i + j."""
+    n = r.ground.size
+    return {divmod(k, n) for k in range(n * n) if r.bits >> k & 1}
+
+
+same_ground_pairs = st.sampled_from([ground(n) for n in (1, 2, 3, 4)]).flatmap(
+    lambda g: st.tuples(relation_strategy(g), relation_strategy(g))
+)
+
+
+class TestAgainstPairSets:
+    """Every operation on the packed integer against plain pair sets."""
+
+    @staticmethod
+    def check(a, b):
+        n = a.ground.size
+        pa, pb = set(a.pairs()), set(b.pairs())
+        assert set(a.union(b).pairs()) == pa | pb
+        assert set(a.intersection(b).pairs()) == pa & pb
+        assert set(a.difference(b).pairs()) == pa - pb
+        assert a.is_subset(b) == (pa <= pb)
+        assert set(a.inverse().pairs()) == {(v, u) for u, v in pa}
+        assert set(compose(a, b).pairs()) == pair_compose(pa, pb)
+        assert set(a.transitive_closure().pairs()) == pair_transitive_closure(pa)
+        assert a.count() == len(pa)
+        index_pairs = a.index_pairs()
+        assert set(index_pairs) == _cells(a)
+        assert list(index_pairs) == sorted(index_pairs)
+        labs = a.ground.labels
+        assert pa == {(labs[i], labs[j]) for i, j in index_pairs}
+        for i in range(n):
+            for j in range(n):
+                assert a.holds_index(i, j) == ((i, j) in index_pairs)
+        assert BinaryRelation.from_index_pairs(a.ground, index_pairs) == a
+        assert BinaryRelation.from_rows(a.ground, a.rows) == a
+
+    @given(same_ground_pairs)
+    def test_one_to_four_states(self, pair):
+        self.check(*pair)
+
+    def test_five_to_eight_states_seeded(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            g = ground(rng.randint(5, 8))
+            self.check(*(BinaryRelation(g, rng.getrandbits(g.size**2)) for _ in "ab"))
+
+    def test_out_of_range_bits_and_rows_are_rejected(self):
+        with pytest.raises(ValueError):
+            BinaryRelation(Y2, 1 << 4)
+        with pytest.raises(ValueError):
+            BinaryRelation(Y2, -1)
+        with pytest.raises(ValueError):
+            BinaryRelation.from_rows(Y2, (1, 4))
+        with pytest.raises(ValueError):
+            BinaryRelation.from_rows(Y2, (1,))
+        with pytest.raises(IndexError):
+            BinaryRelation.full(Y2).holds_index(0, 2)
 
 
 class TestProjections:
