@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lshift
 from typing import Iterable, Mapping
 
 from .monoids import ClosedMonoid
-from .orders import OutcomeMap, PartialOrder, down_set, strict_part
+from .orders import OutcomeMap, PartialOrder, down_set
 # Not used here: kept as `dmp.pullback`, the name bench/replay.py counts
 # pullback calls through.
 from .orders import pullback  # noqa: F401
@@ -72,8 +73,14 @@ class DMP:
 
     @cached_property
     def _up(self) -> list[list[int]]:
-        """Up-masks through the outcome order, built once per game."""
-        return _up_masks(self, self.outcomes.leq)
+        """up[k][a] is the bitmask of states y with a <= F(x_k, y), built
+        once per game.  Row j of the state-preference relation of (x_i, x_k)
+        is then up[k][F(x_i, y_j)], so a pair costs one lookup per state."""
+        above = self.outcomes.leq.rows
+        return [
+            [sum(1 << j for j, b in enumerate(row) if up >> b & 1) for up in above]
+            for row in self.table
+        ]
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,7 @@ class Preference:
     def __post_init__(self) -> None:
         if self.rel.ground != self.ground:
             raise ValueError("preference relation on wrong ground set")
-        profile = self.rel.classify()
-        if not profile.preorder:
+        if not (self.rel.is_reflexive() and self.rel.is_transitive()):
             raise ValueError("preference must be a preorder (reflexive and transitive)")
 
     def holds(self, x1: str, x2: str) -> bool:
@@ -110,51 +116,53 @@ class Preference:
 # -- basic derived relations -------------------------------------------------
 
 
-def _up_masks(game: DMP, leq: BinaryRelation) -> list[list[int]]:
-    """up[k][a] is the bitmask of states y with a leq F(x_k, y).
+def _dominance(game: DMP, strict: bool) -> BinaryRelation:
+    """(x1, x2) iff F(x1, y) <= F(x2, y) in every state y, and also
+    F(x1, y) != F(x2, y) when `strict`.
 
-    Row j of the state-preference relation of (x_i, x_k), read through
-    `leq`, is then up[k][F(x_i, y_j)], so a pair costs one lookup per state.
+    Row x1 is the AND over states y of the strategies reaching at least
+    F(x1, y) at y (without those reaching exactly it, when strict); each
+    state's table of these masks by outcome costs one pass over the
+    strategies and one over the order, so no pair is tested on its own.
     """
-    return [
-        [sum(1 << j for j, b in enumerate(row) if above >> b & 1) for above in leq.rows]
-        for row in game.table
-    ]
-
-
-def _diagonal_preference(game: DMP, up: list[list[int]]) -> BinaryRelation:
-    """(x1, x2) iff F(x1, y) is below F(x2, y) in every state y, for the
-    order the up-masks were read from: the diagonal of the state-preference
-    relation is full."""
-    pairs = (
-        (i, k)
-        for i, row in enumerate(game.table)
-        for k, up_k in enumerate(up)
-        if all(up_k[a] >> j & 1 for j, a in enumerate(row))
-    )
-    return BinaryRelation.from_index_pairs(game.strategies, pairs)
+    above = game.outcomes.leq.rows
+    rows = [(1 << game.strategies.size) - 1] * game.strategies.size
+    for j in range(game.states.size):
+        at = [0] * len(above)
+        for k, row in enumerate(game.table):
+            at[row[j]] |= 1 << k
+        # the `at` masks are disjoint, so their sum is their union
+        reach = [sum(m for b, m in enumerate(at) if up >> b & 1) for up in above]
+        if strict:
+            reach = [r & ~m for r, m in zip(reach, at)]
+        for i, row in enumerate(game.table):
+            rows[i] &= reach[row[j]]
+    return BinaryRelation.from_rows(game.strategies, rows)
 
 
 def pareto(game: DMP) -> Preference:
     """(x1, x2) iff the x2 row dominates the x1 row in every state."""
-    return Preference(game.strategies, _diagonal_preference(game, game._up))
+    return Preference(game.strategies, _dominance(game, strict=False))
 
 
 def strict_pareto(game: DMP) -> BinaryRelation:
     """(x1, x2) iff the x2 row strictly dominates in every state."""
-    return _diagonal_preference(game, _up_masks(game, strict_part(game.outcomes)))
+    return _dominance(game, strict=True)
 
 
 def state_preference(game: DMP, x1: str, x2: str) -> BinaryRelation:
     """Relation on states: (y1, y2) iff F(x1, y1) <= F(x2, y2).
 
     Row y1 is the set of states where x2 reaches at least F(x1, y1), read
-    off the game's up-masks; derive and the regularity check build every
-    state-preference here.
+    off the game's up-masks (each below 2^n by construction, so they are
+    packed without a per-row check); derive and the regularity check build
+    every state-preference here.
     """
     up = game._up[game.strategies.index(x2)]
     row = game.table[game.strategies.index(x1)]
-    return BinaryRelation.from_rows(game.states, [up[a] for a in row])
+    n = game.states.size
+    rows = [up[a] for a in row]
+    return BinaryRelation(game.states, sum(map(lshift, rows, range(0, n * n, n))))
 
 
 def derive(game: DMP, monoid: ClosedMonoid) -> Preference:

@@ -3,25 +3,33 @@
 A family of relations is a closed submonoid when it contains the identity
 relation, is closed under composition, and is upward closed under inclusion.
 Such a family is an up-set in the boolean lattice of relations, so it is
-represented by its antichain of inclusion-minimal members.  Membership is
+determined by its antichain of inclusion-minimal members.  Membership is
 "some minimal member is a subset of the candidate".
 
 Composition is inclusion-monotone in both arguments, so closure under
 composition of the minimal members implies closure of the whole up-set;
 construction validates exactly that.
+
+The canonical families are held in structural form instead: a relation is a
+member iff it contains every cell of a `need` mask and meets every mask in a
+`hit` list.  Beta-domination needs every column non-empty, its dual every
+row, Pareto and the filters the diagonal cells of their base.  Membership
+then costs at most 2n + 1 integer ANDs, and the minimal antichain is built
+only when something asks for it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .relations import BinaryRelation, GroundSet, GroundSetMismatchError, compose
 
 
 class MonoidConstructionError(ValueError):
-    """Raised when an antichain does not describe a closed submonoid."""
+    """Raised when an antichain does not describe a closed submonoid, or is
+    too large to build."""
 
 
 def minimize(relations: Iterable[BinaryRelation]) -> list[BinaryRelation]:
@@ -39,13 +47,48 @@ def minimize(relations: Iterable[BinaryRelation]) -> list[BinaryRelation]:
     return sorted(out, key=lambda r: r.rows)
 
 
-@dataclass(frozen=True)
-class ClosedMonoid:
-    ground: GroundSet
-    min_antichain: tuple[BinaryRelation, ...]
+# Most candidates the minimal antichain of a structural monoid is picked
+# from.  Every canonical family on up to 4 states fits (beta-both on 4 states
+# has 2200); beta on 5 states (3125 co-function graphs) does not.
+MAX_ANTICHAIN_CANDIDATES = 3_000
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "min_antichain", tuple(self.min_antichain))
+
+class ClosedMonoid:
+    """A closed submonoid of the relations on `ground`.
+
+    `ClosedMonoid(ground, min_antichain)` validates the antichain and tests
+    membership by scanning it.  `ClosedMonoid.structural(ground, need, hit)`
+    builds nothing: membership is read off the masks, and `min_antichain` is
+    built and validated on first access.  Equality and hashing go by the
+    ground set and the minimal antichain in either form.
+    """
+
+    def __init__(self, ground: GroundSet, min_antichain: Iterable[BinaryRelation]) -> None:
+        self.ground = ground
+        self._need: int | None = None
+        self._hit: tuple[int, ...] = ()
+        # stored over the cached property below, which only builds the
+        # antichain of a structural monoid
+        self.min_antichain = tuple(min_antichain)
+        self._validate()
+
+    @classmethod
+    def structural(
+        cls, ground: GroundSet, need: int = 0, hit: Iterable[int] = ()
+    ) -> "ClosedMonoid":
+        """The relations that contain every cell of `need` and meet every
+        mask in `hit`; the caller vouches that they form a closed submonoid."""
+        monoid = cls.__new__(cls)
+        monoid.ground, monoid._need, monoid._hit = ground, need, tuple(hit)
+        return monoid
+
+    @classmethod
+    def from_antichain(
+        cls, ground: GroundSet, relations: Iterable[BinaryRelation]
+    ) -> "ClosedMonoid":
+        return cls(ground, tuple(minimize(relations)))
+
+    def _validate(self) -> None:
         if not self.min_antichain:
             raise MonoidConstructionError("antichain must be non-empty")
         for m in self.min_antichain:
@@ -67,17 +110,52 @@ class ClosedMonoid:
                         f"not composition-closed: {b}*{a} = {prod} escapes"
                     )
 
-    @classmethod
-    def from_antichain(
-        cls, ground: GroundSet, relations: Iterable[BinaryRelation]
-    ) -> "ClosedMonoid":
-        return cls(ground, tuple(minimize(relations)))
+    @cached_property
+    def min_antichain(self) -> tuple[BinaryRelation, ...]:
+        """Only reached in structural form.  Every minimal member is `need`
+        plus one cell of each `hit` mask that the cells taken so far miss, so
+        minimizing those candidates gives the antichain, which is then
+        validated like a given one."""
+        found = [self._need]
+        for mask in self._hit:
+            cells = [1 << k for k in range(mask.bit_length()) if mask >> k & 1]
+            found = [
+                bits | cell for bits in found for cell in ((0,) if bits & mask else cells)
+            ]
+            if len(found) > MAX_ANTICHAIN_CANDIDATES:
+                raise MonoidConstructionError(
+                    f"the minimal members of this monoid on {self.ground.size} "
+                    f"states have more than {MAX_ANTICHAIN_CANDIDATES} candidates"
+                )
+        rels = (BinaryRelation(self.ground, bits) for bits in found)
+        return ClosedMonoid(self.ground, minimize(rels)).min_antichain
 
     def contains(self, rel: BinaryRelation) -> bool:
         if rel.ground != self.ground:
             raise GroundSetMismatchError("relation on wrong ground set")
-        outside = ~rel.bits
-        return any(m.bits & outside == 0 for m in self.min_antichain)
+        bits = rel.bits
+        if self._need is None:
+            outside = ~bits
+            return any(m.bits & outside == 0 for m in self.min_antichain)
+        if bits & self._need != self._need:
+            return False
+        for mask in self._hit:
+            if not bits & mask:
+                return False
+        return True
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClosedMonoid):
+            return NotImplemented
+        return self.ground == other.ground and self.min_antichain == other.min_antichain
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.min_antichain))
+
+    def __repr__(self) -> str:
+        if self._need is None:
+            return f"ClosedMonoid({self.ground!r}, {self.min_antichain!r})"
+        return f"ClosedMonoid.structural({self.ground!r}, {self._need:#x}, {self._hit!r})"
 
     def includes(self, other: "ClosedMonoid") -> bool:
         """Monoid inclusion: every member of `other` is a member of self."""
@@ -123,42 +201,43 @@ def closure(ground: GroundSet, generators: Iterable[BinaryRelation]) -> ClosedMo
 # -- canonical families ------------------------------------------------------
 
 
+def _row_masks(n: int) -> list[int]:
+    full = (1 << n) - 1
+    return [full << n * i for i in range(n)]
+
+
+def _column_masks(n: int) -> list[int]:
+    column = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit n*i for every row i
+    return [column << j for j in range(n)]
+
+
 def reflexive_monoid(ground: GroundSet) -> ClosedMonoid:
     """All reflexive relations; induces Pareto-domination."""
-    return ClosedMonoid(ground, (BinaryRelation.identity(ground),))
+    return ClosedMonoid.structural(ground, need=BinaryRelation.identity(ground).bits)
 
 
 def universal_monoid(ground: GroundSet) -> ClosedMonoid:
     """All relations; induces the complete preference."""
-    return ClosedMonoid(ground, (BinaryRelation.empty(ground),))
+    return ClosedMonoid.structural(ground)
 
 
 def surjective_monoid(ground: GroundSet) -> ClosedMonoid:
-    """Relations whose second projection covers the states; beta-domination.
-
-    The minimal members are the co-function graphs {(g(y), y)}.
-    """
-    n = ground.size
-    rels = [
-        BinaryRelation.from_index_pairs(ground, ((g[j], j) for j in range(n)))
-        for g in itertools.product(range(n), repeat=n)
-    ]
-    return ClosedMonoid.from_antichain(ground, rels)
+    """Relations whose second projection covers the states: every column is
+    non-empty; beta-domination.  The minimal members are the co-function
+    graphs {(g(y), y)}."""
+    return ClosedMonoid.structural(ground, hit=_column_masks(ground.size))
 
 
 def total_monoid(ground: GroundSet) -> ClosedMonoid:
-    """Everywhere defined relations; dual beta-domination."""
-    n = ground.size
-    rels = [
-        BinaryRelation.from_index_pairs(ground, ((i, g[i]) for i in range(n)))
-        for g in itertools.product(range(n), repeat=n)
-    ]
-    return ClosedMonoid.from_antichain(ground, rels)
+    """Everywhere defined relations: every row is non-empty; dual
+    beta-domination."""
+    return ClosedMonoid.structural(ground, hit=_row_masks(ground.size))
 
 
 def beta_both_monoid(ground: GroundSet) -> ClosedMonoid:
     """Everywhere defined surjective relations; meet of beta and dual beta."""
-    return meet(surjective_monoid(ground), total_monoid(ground))
+    n = ground.size
+    return ClosedMonoid.structural(ground, hit=_column_masks(n) + _row_masks(n))
 
 
 def filter_monoid(ground: GroundSet, base: Iterable[str]) -> ClosedMonoid:
@@ -167,7 +246,7 @@ def filter_monoid(ground: GroundSet, base: Iterable[str]) -> ClosedMonoid:
     if not base_labels:
         raise ValueError("filter base must be non-empty")
     gen = BinaryRelation.from_pairs(ground, ((y, y) for y in base_labels))
-    return ClosedMonoid(ground, (gen,))
+    return ClosedMonoid.structural(ground, need=gen.bits)
 
 
 def dictator_monoid(ground: GroundSet, state: str) -> ClosedMonoid:

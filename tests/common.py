@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -9,6 +10,7 @@ from typing import Callable
 from hypothesis import strategies as st
 
 from ordpref.dmp import DMP, Preference
+from ordpref.monoids import minimize
 from ordpref.orders import OutcomeMap, PartialOrder, strict_part
 from ordpref.relations import BinaryRelation, GroundSet, all_relations, compose
 
@@ -195,6 +197,33 @@ def beta_both_explicit(game: DMP) -> Preference:
         return forward and backward
 
     return _quantifier_preference(game, accept)
+
+
+def surjective_antichain(g: GroundSet) -> tuple[BinaryRelation, ...]:
+    """Minimal members of beta: the co-function graphs {(h(y), y)}, one
+    per map h, listed by brute force."""
+    n = g.size
+    return tuple(minimize(
+        BinaryRelation.from_index_pairs(g, ((h[j], j) for j in range(n)))
+        for h in itertools.product(range(n), repeat=n)
+    ))
+
+
+def total_antichain(g: GroundSet) -> tuple[BinaryRelation, ...]:
+    """Minimal members of dual beta: the function graphs {(y, h(y))}."""
+    n = g.size
+    return tuple(minimize(
+        BinaryRelation.from_index_pairs(g, ((i, h[i]) for i in range(n)))
+        for h in itertools.product(range(n), repeat=n)
+    ))
+
+
+def beta_both_antichain(g: GroundSet) -> tuple[BinaryRelation, ...]:
+    """Minimal members of beta-both: the minimal unions of a co-function
+    graph and a function graph (the meet of the two families)."""
+    return tuple(minimize(
+        a.union(b) for a in surjective_antichain(g) for b in total_antichain(g)
+    ))
 
 
 @dataclass(frozen=True)
