@@ -20,6 +20,7 @@ from .orders import (
 from .monoids import (
     ClosedMonoid,
     MonoidConstructionError,
+    StructuralMonoid,
     atom_monoid,
     beta_both_monoid,
     closure,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import lshift
 from typing import Iterable, Mapping
 
 from .monoids import ClosedMonoid
@@ -23,7 +22,7 @@ from .orders import OutcomeMap, PartialOrder, down_set
 # Not used here: kept as `dmp.pullback`, the name bench/replay.py counts
 # pullback calls through.
 from .orders import pullback  # noqa: F401
-from .relations import BinaryRelation, GroundSet, GroundSetMismatchError
+from .relations import BinaryRelation, GroundSet, GroundSetMismatchError, pack_rows
 
 
 class MorphismError(ValueError):
@@ -160,9 +159,8 @@ def state_preference(game: DMP, x1: str, x2: str) -> BinaryRelation:
     """
     up = game._up[game.strategies.index(x2)]
     row = game.table[game.strategies.index(x1)]
-    n = game.states.size
-    rows = [up[a] for a in row]
-    return BinaryRelation(game.states, sum(map(lshift, rows, range(0, n * n, n))))
+    bits = pack_rows([up[a] for a in row], game.states.size)
+    return BinaryRelation(game.states, bits)
 
 
 def derive(game: DMP, monoid: ClosedMonoid) -> Preference:

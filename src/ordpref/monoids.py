@@ -21,10 +21,18 @@ only when something asks for it.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .relations import BinaryRelation, GroundSet, GroundSetMismatchError, compose
+from .relations import (
+    BinaryRelation,
+    GroundSet,
+    GroundSetMismatchError,
+    column_masks,
+    compose,
+    row_masks,
+)
 
 
 class MonoidConstructionError(ValueError):
@@ -53,42 +61,17 @@ def minimize(relations: Iterable[BinaryRelation]) -> list[BinaryRelation]:
 MAX_ANTICHAIN_CANDIDATES = 3_000
 
 
+@dataclass(frozen=True, eq=False)
 class ClosedMonoid:
-    """A closed submonoid of the relations on `ground`.
+    """A closed submonoid held as its minimal antichain, validated on
+    construction; membership scans the antichain.  Equality and hashing go by
+    the ground set and the minimal antichain, for every subclass too."""
 
-    `ClosedMonoid(ground, min_antichain)` validates the antichain and tests
-    membership by scanning it.  `ClosedMonoid.structural(ground, need, hit)`
-    builds nothing: membership is read off the masks, and `min_antichain` is
-    built and validated on first access.  Equality and hashing go by the
-    ground set and the minimal antichain in either form.
-    """
+    ground: GroundSet
+    min_antichain: tuple[BinaryRelation, ...]
 
-    def __init__(self, ground: GroundSet, min_antichain: Iterable[BinaryRelation]) -> None:
-        self.ground = ground
-        self._need: int | None = None
-        self._hit: tuple[int, ...] = ()
-        # stored over the cached property below, which only builds the
-        # antichain of a structural monoid
-        self.min_antichain = tuple(min_antichain)
-        self._validate()
-
-    @classmethod
-    def structural(
-        cls, ground: GroundSet, need: int = 0, hit: Iterable[int] = ()
-    ) -> "ClosedMonoid":
-        """The relations that contain every cell of `need` and meet every
-        mask in `hit`; the caller vouches that they form a closed submonoid."""
-        monoid = cls.__new__(cls)
-        monoid.ground, monoid._need, monoid._hit = ground, need, tuple(hit)
-        return monoid
-
-    @classmethod
-    def from_antichain(
-        cls, ground: GroundSet, relations: Iterable[BinaryRelation]
-    ) -> "ClosedMonoid":
-        return cls(ground, tuple(minimize(relations)))
-
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "min_antichain", tuple(self.min_antichain))
         if not self.min_antichain:
             raise MonoidConstructionError("antichain must be non-empty")
         for m in self.min_antichain:
@@ -110,39 +93,23 @@ class ClosedMonoid:
                         f"not composition-closed: {b}*{a} = {prod} escapes"
                     )
 
-    @cached_property
-    def min_antichain(self) -> tuple[BinaryRelation, ...]:
-        """Only reached in structural form.  Every minimal member is `need`
-        plus one cell of each `hit` mask that the cells taken so far miss, so
-        minimizing those candidates gives the antichain, which is then
-        validated like a given one."""
-        found = [self._need]
-        for mask in self._hit:
-            cells = [1 << k for k in range(mask.bit_length()) if mask >> k & 1]
-            found = [
-                bits | cell for bits in found for cell in ((0,) if bits & mask else cells)
-            ]
-            if len(found) > MAX_ANTICHAIN_CANDIDATES:
-                raise MonoidConstructionError(
-                    f"the minimal members of this monoid on {self.ground.size} "
-                    f"states have more than {MAX_ANTICHAIN_CANDIDATES} candidates"
-                )
-        rels = (BinaryRelation(self.ground, bits) for bits in found)
-        return ClosedMonoid(self.ground, minimize(rels)).min_antichain
+    @classmethod
+    def from_antichain(
+        cls, ground: GroundSet, relations: Iterable[BinaryRelation]
+    ) -> "ClosedMonoid":
+        return cls(ground, tuple(minimize(relations)))
 
     def contains(self, rel: BinaryRelation) -> bool:
+        # Subclasses override `_accepts`, not this: every membership test of
+        # every form passes here, where bench/replay.py counts them.
         if rel.ground != self.ground:
             raise GroundSetMismatchError("relation on wrong ground set")
-        bits = rel.bits
-        if self._need is None:
-            outside = ~bits
-            return any(m.bits & outside == 0 for m in self.min_antichain)
-        if bits & self._need != self._need:
-            return False
-        for mask in self._hit:
-            if not bits & mask:
-                return False
-        return True
+        return self._accepts(rel.bits)
+
+    def _accepts(self, bits: int) -> bool:
+        """Membership of the relation with these bits on `ground`."""
+        outside = ~bits
+        return any(m.bits & outside == 0 for m in self.min_antichain)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClosedMonoid):
@@ -151,11 +118,6 @@ class ClosedMonoid:
 
     def __hash__(self) -> int:
         return hash((self.ground, self.min_antichain))
-
-    def __repr__(self) -> str:
-        if self._need is None:
-            return f"ClosedMonoid({self.ground!r}, {self.min_antichain!r})"
-        return f"ClosedMonoid.structural({self.ground!r}, {self._need:#x}, {self._hit!r})"
 
     def includes(self, other: "ClosedMonoid") -> bool:
         """Monoid inclusion: every member of `other` is a member of self."""
@@ -176,6 +138,50 @@ class ClosedMonoid:
 
     def signature(self) -> str:
         return "|".join(str(m) for m in self.min_antichain)
+
+
+class StructuralMonoid(ClosedMonoid):
+    """The relations that contain every cell of `need` and meet every mask
+    in `hit`; the caller vouches that they form a closed submonoid.
+
+    Nothing is built up front: membership is read off the masks, and the
+    minimal antichain is built and validated on first access.
+    """
+
+    def __init__(self, ground: GroundSet, need: int = 0, hit: Iterable[int] = ()) -> None:
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "need", need)
+        object.__setattr__(self, "hit", tuple(hit))
+
+    @cached_property
+    def min_antichain(self) -> tuple[BinaryRelation, ...]:
+        """Every minimal member is `need` plus one cell of each `hit` mask
+        that the cells taken so far miss, so minimizing those candidates
+        gives the antichain, which is then validated like a given one."""
+        found = [self.need]
+        for mask in self.hit:
+            cells = [1 << k for k in range(mask.bit_length()) if mask >> k & 1]
+            found = [
+                bits | cell for bits in found for cell in ((0,) if bits & mask else cells)
+            ]
+            if len(found) > MAX_ANTICHAIN_CANDIDATES:
+                raise MonoidConstructionError(
+                    f"the minimal members of this monoid on {self.ground.size} "
+                    f"states have more than {MAX_ANTICHAIN_CANDIDATES} candidates"
+                )
+        rels = (BinaryRelation(self.ground, bits) for bits in found)
+        return ClosedMonoid(self.ground, minimize(rels)).min_antichain
+
+    def _accepts(self, bits: int) -> bool:
+        if bits & self.need != self.need:
+            return False
+        for mask in self.hit:
+            if not bits & mask:
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"StructuralMonoid({self.ground!r}, {self.need:#x}, {self.hit!r})"
 
 
 def closure(ground: GroundSet, generators: Iterable[BinaryRelation]) -> ClosedMonoid:
@@ -201,43 +207,33 @@ def closure(ground: GroundSet, generators: Iterable[BinaryRelation]) -> ClosedMo
 # -- canonical families ------------------------------------------------------
 
 
-def _row_masks(n: int) -> list[int]:
-    full = (1 << n) - 1
-    return [full << n * i for i in range(n)]
-
-
-def _column_masks(n: int) -> list[int]:
-    column = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit n*i for every row i
-    return [column << j for j in range(n)]
-
-
 def reflexive_monoid(ground: GroundSet) -> ClosedMonoid:
     """All reflexive relations; induces Pareto-domination."""
-    return ClosedMonoid.structural(ground, need=BinaryRelation.identity(ground).bits)
+    return StructuralMonoid(ground, need=BinaryRelation.identity(ground).bits)
 
 
 def universal_monoid(ground: GroundSet) -> ClosedMonoid:
     """All relations; induces the complete preference."""
-    return ClosedMonoid.structural(ground)
+    return StructuralMonoid(ground)
 
 
 def surjective_monoid(ground: GroundSet) -> ClosedMonoid:
     """Relations whose second projection covers the states: every column is
     non-empty; beta-domination.  The minimal members are the co-function
     graphs {(g(y), y)}."""
-    return ClosedMonoid.structural(ground, hit=_column_masks(ground.size))
+    return StructuralMonoid(ground, hit=column_masks(ground.size))
 
 
 def total_monoid(ground: GroundSet) -> ClosedMonoid:
     """Everywhere defined relations: every row is non-empty; dual
     beta-domination."""
-    return ClosedMonoid.structural(ground, hit=_row_masks(ground.size))
+    return StructuralMonoid(ground, hit=row_masks(ground.size))
 
 
 def beta_both_monoid(ground: GroundSet) -> ClosedMonoid:
     """Everywhere defined surjective relations; meet of beta and dual beta."""
     n = ground.size
-    return ClosedMonoid.structural(ground, hit=_column_masks(n) + _row_masks(n))
+    return StructuralMonoid(ground, hit=column_masks(n) + row_masks(n))
 
 
 def filter_monoid(ground: GroundSet, base: Iterable[str]) -> ClosedMonoid:
@@ -246,7 +242,7 @@ def filter_monoid(ground: GroundSet, base: Iterable[str]) -> ClosedMonoid:
     if not base_labels:
         raise ValueError("filter base must be non-empty")
     gen = BinaryRelation.from_pairs(ground, ((y, y) for y in base_labels))
-    return ClosedMonoid.structural(ground, need=gen.bits)
+    return StructuralMonoid(ground, need=gen.bits)
 
 
 def dictator_monoid(ground: GroundSet, state: str) -> ClosedMonoid:

@@ -75,6 +75,24 @@ class RelationProfile:
     total: bool
 
 
+def pack_rows(rows: Iterable[int], n: int) -> int:
+    """The bits of the relation on n elements whose row i is rows[i].  Each
+    row must be below 2^n; that is not checked here."""
+    return sum(map(lshift, rows, range(0, n * n, n)))
+
+
+def row_masks(n: int) -> list[int]:
+    """For each element i, the bits of all cells (i, j) on n elements."""
+    full = (1 << n) - 1
+    return [full << n * i for i in range(n)]
+
+
+def column_masks(n: int) -> list[int]:
+    """For each element j, the bits of all cells (i, j) on n elements."""
+    column = pack_rows([1] * n, n)
+    return [column << j for j in range(n)]
+
+
 def _members(mask: int) -> Iterator[int]:
     """Positions of the set bits of a row mask, lowest first."""
     while mask:
@@ -104,7 +122,7 @@ class BinaryRelation:
         n = ground.size
         if len(rows) != n or min(rows) < 0 or max(rows) >> n:
             raise ValueError(f"expected {n} row masks below 2^{n}, got {rows!r}")
-        return cls(ground, sum(map(lshift, rows, range(0, n * n, n))))
+        return cls(ground, pack_rows(rows, n))
 
     @classmethod
     def empty(cls, ground: GroundSet) -> "BinaryRelation":

@@ -115,3 +115,15 @@ def test_cli_derive_on_eight_states(spec, tmp_path, capsys):
     out = capsys.readouterr().out
     expected = render_preference(EXPLICIT[spec][1](game))
     assert out.startswith(f"derived preference for monoid {spec}:\n{expected}maximal strategies: ")
+
+
+def test_structural_monoids_are_immutable_and_test_membership_through_contains(monkeypatch):
+    g = ground(3)
+    monoid = beta_both_monoid(g)
+    with pytest.raises(AttributeError):
+        monoid.ground = ground(2)
+    calls = []
+    scan = ClosedMonoid.contains
+    monkeypatch.setattr(ClosedMonoid, "contains", lambda m, rel: calls.append(rel) or scan(m, rel))
+    assert derive(random_dmp(random.Random(5), nx=4, ny=3, na=3), monoid).rel.count() > 0
+    assert len(calls) == 16
