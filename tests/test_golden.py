@@ -2,10 +2,12 @@
 fixture games, compared byte for byte.
 
 Each golden file holds an "exit: N" line followed by the command's exact
-stdout.  Two more files pin the canonical antichain order of the lattice
-module: the DOT export of the two-state lattice and the signatures of the
-generated three-state monoids.  To record them all again from the current
-code:
+stdout, run in a directory that holds the input files.  The `gens=` and
+`idempotent=` cases read the relation files in RELATION_FILES, so the CLI
+path through `closure()` is pinned too.  Two more files pin the canonical
+antichain order of the lattice module: the DOT export of the two-state
+lattice and the signatures of the generated three-state monoids.  To record
+them all again from the current code:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -37,8 +40,27 @@ GAMES = {
 }
 
 
+# Relation files for `--monoid gens=FILE` and `idempotent=FILE`; blank lines
+# separate generators.
+RELATION_FILES = {
+    "swap2": "y1 y2\ny2 y1\n",
+    "mixed2": "y1 y1\ny1 y2\n\ny1 y2\ny2 y1\n",
+    "cycle3": "y1 y2\ny2 y3\ny3 y1\n",
+    "mixed3": "y1 y2\ny1 y3\ny2 y1\ny2 y2\ny3 y2\n\ny1 y2\ny2 y3\ny3 y2\n",
+    # a 3-cycle, a swap and a collapse generate every map on 3 states
+    "maps3": "y1 y2\ny2 y3\ny3 y1\n\ny1 y2\ny2 y1\ny3 y3\n\ny1 y1\ny2 y1\ny3 y3\n",
+    "sigma3": "y1 y1\ny2 y1\ny3 y3\n",
+}
+# Generator files per state count.
+GENERATORS = {2: ("swap2", "mixed2"), 3: ("cycle3", "mixed3", "maps3")}
+
+
+def _slug(spec: str) -> str:
+    return spec.replace("=", "-").replace(",", "-").replace("{", "").replace("}", "")
+
+
 def _cases() -> dict[str, list[str]]:
-    """Golden name -> argv, with "{game}" files and "{morphism}" to fill in."""
+    """Golden name -> argv, with the "{name}" of an input file to fill in."""
     cases = {}
     for name, game in GAMES.items():
         states = game.states.labels
@@ -46,14 +68,18 @@ def _cases() -> dict[str, list[str]]:
         specs += [f"dictator={y}" for y in states]
         specs.append("filter=" + ",".join(states[:2]))
         specs += [f"atom={y}" for y in states]
+        specs += [f"gens={{{rel}}}" for rel in GENERATORS[game.states.size]]
         for spec in specs:
-            cases[f"derive-{name}-{spec.replace('=', '-').replace(',', '-')}"] = [
+            cases[f"derive-{name}-{_slug(spec)}"] = [
                 "derive", "--dmp", f"{{{name}}}", "--monoid", spec,
             ]
         if game.states.size == 2:
             cases[f"lattice-{name}"] = ["lattice", "--dmp", f"{{{name}}}"]
-    for spec in ("pareto", "beta", "dictator=y1", "atom=y2"):
-        cases[f"check-example2-morphism-{spec.replace('=', '-')}"] = [
+    cases["derive-example1-idempotent-sigma3"] = [
+        "derive", "--dmp", "{example1}", "--monoid", "idempotent={sigma3}",
+    ]
+    for spec in ("pareto", "beta", "dictator=y1", "atom=y2", "gens={swap2}", "gens={mixed2}"):
+        cases[f"check-example2-morphism-{_slug(spec)}"] = [
             "check", "--dmp", "{example2}", "--monoid", spec, "--morphism", "{morphism}",
         ]
     cases["check-example3-universal"] = [
@@ -92,35 +118,46 @@ def _morphism_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_inputs(directory: Path) -> dict[str, str]:
-    paths = {}
+# Input name -> file name, relative to the directory the commands run in,
+# since `derive` prints its monoid spec and so the path of a relation file.
+INPUTS = {name: f"{name}.dmp" for name in GAMES}
+INPUTS["morphism"] = "example2.mor"
+INPUTS.update((name, f"{name}.rel") for name in RELATION_FILES)
+
+
+def _write_inputs(directory: Path) -> None:
     for name, game in GAMES.items():
-        path = directory / f"{name}.dmp"
-        path.write_text(render_dmp(game))
-        paths[name] = str(path)
-    path = directory / "example2.mor"
-    path.write_text(_morphism_text())
-    paths["morphism"] = str(path)
-    return paths
+        (directory / INPUTS[name]).write_text(render_dmp(game))
+    (directory / INPUTS["morphism"]).write_text(_morphism_text())
+    for name, text in RELATION_FILES.items():
+        (directory / INPUTS[name]).write_text(text)
 
 
-def _run(argv: list[str], paths: dict[str, str]) -> str:
-    """The golden text of one command: exit line plus captured stdout."""
+def _run(argv: list[str], directory: Path) -> str:
+    """The golden text of one command run in `directory`: exit line plus
+    captured stdout."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([arg.format(**paths) for arg in argv])
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main([arg.format(**INPUTS) for arg in argv])
+    finally:
+        os.chdir(cwd)
     return f"exit: {code}\n{out.getvalue()}"
 
 
 @pytest.fixture(scope="module")
-def paths(tmp_path_factory):
-    return _write_inputs(tmp_path_factory.mktemp("golden_inputs"))
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden_inputs")
+    _write_inputs(directory)
+    return directory
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, paths):
+def test_golden(name, inputs):
     expected = (GOLDEN / f"{name}.txt").read_bytes()
-    assert _run(CASES[name], paths).encode() == expected
+    assert _run(CASES[name], inputs).encode() == expected
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -137,9 +174,9 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = _write_inputs(Path(tmp))
+        _write_inputs(Path(tmp))
         for case, argv in CASES.items():
-            (GOLDEN / f"{case}.txt").write_bytes(_run(argv, inputs).encode())
+            (GOLDEN / f"{case}.txt").write_bytes(_run(argv, Path(tmp)).encode())
     for name, text in PINS.items():
         (GOLDEN / name).write_bytes(text().encode())
     print(f"wrote {len(CASES) + len(PINS)} golden files to {GOLDEN}", file=sys.stderr)
