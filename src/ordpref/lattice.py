@@ -1,9 +1,11 @@
 """Enumeration of closed submonoids and the structure of their lattice.
 
 Exhaustive enumeration is only done for two states: the 16 relations form a
-boolean lattice whose up-sets can be sieved directly out of the 2^16 subsets.
-For three states the generated mode takes closures of small generator sets
-instead.
+boolean lattice, and its up-sets that hold the identity (84 of them) are
+walked from up(identity) by adding one relation at a time whose proper
+supersets are already in; only those are tested for closure under
+composition.  For three states the generated mode takes closures of small
+generator sets instead, through the semi-naive, bounded `closure()`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .relations import (
     GroundSet,
     GroundSetMismatchError,
     all_relations,
-    compose,
+    compose_bits,
 )
 
 
@@ -57,34 +59,39 @@ def enumerate_exhaustive(ground: GroundSet) -> MonoidLattice:
             "exhaustive enumeration supports exactly 2 states; "
             "use enumerate_generated for larger sets"
         )
-    # a relation's id is its own bits, so rels[r].bits == r
-    rels = list(all_relations(ground))
-    identity_id = BinaryRelation.identity(ground).bits
-    comp = [[compose(a, b).bits for b in rels] for a in rels]
-    # A family is a 16-bit mask over relation ids.  It is up-closed iff adding
-    # any one cell c to a member r without it, id r + c, gives a member.
-    steps = [
-        (sum(1 << r.bits for r in rels if not cell.is_subset(r)), cell.bits)
-        for cell in rels
-        if cell.count() == 1
-    ]
-    member_masks = []
-    for family in range(1 << 16):
-        if not family >> identity_id & 1:
-            continue
-        for without, cell in steps:
-            if (family & without) << cell & ~family:
-                break
-        else:
-            ids = [r for r in range(16) if family >> r & 1]
-            if all(family >> comp[a][b] & 1 for a in ids for b in ids):
-                member_masks.append(family)
-    member_masks.sort(key=lambda m: (m.bit_count(), m))
-    elements = []
-    for family in member_masks:
-        members = [rels[r] for r in range(16) if family >> r & 1]
-        elements.append(ClosedMonoid.from_antichain(ground, members))
-    return _build_lattice(ground, tuple(elements), member_masks)
+    n = ground.size
+    # A family is a mask over the relations on `ground`, a relation's bit
+    # being its own bits.  Adding to an up-closed family a non-member whose
+    # proper supersets are all members keeps it up-closed, and every up-set
+    # that holds the identity is reached that way from up(identity).
+    rels = range(1 << n * n)
+    above = [sum(1 << s for s in rels if s != r and r & ~s == 0) for r in rels]
+    below = [sum(1 << s for s in rels if s != r and s & ~r == 0) for r in rels]
+    identity = BinaryRelation.identity(ground).bits
+    start = above[identity] | 1 << identity
+    families = {start}
+    todo = [start]
+    while todo:
+        family = todo.pop()
+        for r in rels:
+            grown = family | 1 << r
+            if family & above[r] == above[r] and grown not in families:
+                families.add(grown)
+                todo.append(grown)
+    # An up-set is closed under composition iff its minimal members are.
+    minimal = {}
+    for family in families:
+        least = [r for r in rels if family >> r & 1 and not family & below[r]]
+        if all(family >> compose_bits(a, b, n) & 1 for a in least for b in least):
+            minimal[family] = least
+    member_masks = sorted(minimal, key=lambda m: (m.bit_count(), m))
+    elements = tuple(
+        ClosedMonoid.from_antichain(
+            ground, (BinaryRelation(ground, r) for r in minimal[family])
+        )
+        for family in member_masks
+    )
+    return _build_lattice(ground, elements, member_masks)
 
 
 def _build_lattice(

@@ -8,7 +8,10 @@ determined by its antichain of inclusion-minimal members.  Membership is
 
 Composition is inclusion-monotone in both arguments, so closure under
 composition of the minimal members implies closure of the whole up-set;
-construction validates exactly that.
+construction validates exactly that, on the members' bits.  `closure()`
+builds the least such family by a semi-naive fixed point on bits: each round
+composes only the members added in the round before, on the right with each
+minimal generator.
 
 The canonical families are held in structural form instead: a relation is a
 member iff it contains every cell of a `need` mask and meets every mask in a
@@ -31,6 +34,7 @@ from .relations import (
     GroundSetMismatchError,
     column_masks,
     compose,
+    compose_bits,
     row_masks,
 )
 
@@ -42,23 +46,56 @@ class MonoidConstructionError(ValueError):
 
 def minimize(relations: Iterable[BinaryRelation]) -> list[BinaryRelation]:
     """Inclusion-minimal elements, deduplicated, in canonical row order
-    (lexicographic by rows, row 0 first).
+    (lexicographic by rows, row 0 first)."""
+    rels = list(relations)
+    if not rels:
+        return []
+    ground = rels[0].ground
+    if any(r.ground != ground for r in rels):
+        raise GroundSetMismatchError("relations on different ground sets")
+    return _in_row_order(ground, _minimal_bits(r.bits for r in rels))
+
+
+def _minimal_bits(candidates: Iterable[int]) -> list[int]:
+    """The inclusion-minimal relations among `candidates`, given by their
+    bits, deduplicated.
 
     Taking candidates by increasing size means no later one is a proper
     subset of an earlier one, so a candidate is minimal iff no kept one is
     inside it.
     """
-    out: list[BinaryRelation] = []
-    for r in sorted(set(relations), key=BinaryRelation.count):
-        if not any(m.is_subset(r) for m in out):
-            out.append(r)
-    return sorted(out, key=lambda r: r.rows)
+    out: list[int] = []
+    for bits in sorted(set(candidates), key=int.bit_count):
+        outside = ~bits
+        if all(m & outside for m in out):
+            out.append(bits)
+    return out
+
+
+def _in_row_order(ground: GroundSet, antichain: Iterable[int]) -> list[BinaryRelation]:
+    return sorted((BinaryRelation(ground, bits) for bits in antichain), key=lambda r: r.rows)
+
+
+def _covered(bits: int, members: set[int], antichain: Iterable[int]) -> bool:
+    """Whether the relation with these bits contains a member of the
+    antichain, whose bits are also given as the set `members`."""
+    if bits in members:
+        return True
+    outside = ~bits
+    return any(m & outside == 0 for m in antichain)
 
 
 # Most candidates the minimal antichain of a structural monoid is picked
 # from.  Every canonical family on up to 4 states fits (beta-both on 4 states
 # has 2200); beta on 5 states (3125 co-function graphs) does not.
 MAX_ANTICHAIN_CANDIDATES = 3_000
+
+# Most relations `closure()` holds at once: its antichain so far plus the
+# products of the current round that it does not cover.  Building and
+# validating k members composes about 2k^2 pairs, about 1 s at this bound.
+# The monoid of all maps on 4 states (256 function graphs) fits; that on 5
+# states (3125) does not, and is refused within milliseconds.
+MAX_CLOSURE_MEMBERS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,26 +108,30 @@ class ClosedMonoid:
     min_antichain: tuple[BinaryRelation, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "min_antichain", tuple(self.min_antichain))
-        if not self.min_antichain:
+        members = tuple(self.min_antichain)
+        object.__setattr__(self, "min_antichain", members)
+        if not members:
             raise MonoidConstructionError("antichain must be non-empty")
-        for m in self.min_antichain:
+        for m in members:
             if m.ground != self.ground:
                 raise GroundSetMismatchError("antichain member on wrong ground set")
-        for a, b in itertools.combinations(self.min_antichain, 2):
-            if a.is_subset(b) or b.is_subset(a):
+        antichain = [m.bits for m in members]
+        for (i, a), (j, b) in itertools.combinations(enumerate(antichain), 2):
+            if a & ~b == 0 or b & ~a == 0:
                 raise MonoidConstructionError(
-                    f"not an antichain: {a} and {b} are comparable"
+                    f"not an antichain: {members[i]} and {members[j]} are comparable"
                 )
-        identity = BinaryRelation.identity(self.ground)
-        if not self.contains(identity):
+        bit_set = set(antichain)
+        if not _covered(BinaryRelation.identity(self.ground).bits, bit_set, antichain):
             raise MonoidConstructionError("identity relation is not a member")
-        for a in self.min_antichain:
-            for b in self.min_antichain:
-                prod = compose(a, b)
-                if not self.contains(prod):
+        n = self.ground.size
+        for i, a in enumerate(antichain):
+            for j, b in enumerate(antichain):
+                prod = compose_bits(a, b, n)
+                if not _covered(prod, bit_set, antichain):
                     raise MonoidConstructionError(
-                        f"not composition-closed: {b}*{a} = {prod} escapes"
+                        f"not composition-closed: {members[j]}*{members[i]} = "
+                        f"{BinaryRelation(self.ground, prod)} escapes"
                     )
 
     @classmethod
@@ -169,8 +210,8 @@ class StructuralMonoid(ClosedMonoid):
                     f"the minimal members of this monoid on {self.ground.size} "
                     f"states have more than {MAX_ANTICHAIN_CANDIDATES} candidates"
                 )
-        rels = (BinaryRelation(self.ground, bits) for bits in found)
-        return ClosedMonoid(self.ground, minimize(rels)).min_antichain
+        antichain = _in_row_order(self.ground, _minimal_bits(found))
+        return ClosedMonoid(self.ground, antichain).min_antichain
 
     def _accepts(self, bits: int) -> bool:
         if bits & self.need != self.need:
@@ -185,23 +226,43 @@ class StructuralMonoid(ClosedMonoid):
 
 
 def closure(ground: GroundSet, generators: Iterable[BinaryRelation]) -> ClosedMonoid:
-    """Least closed submonoid containing all generators."""
+    """Least closed submonoid containing all generators.
+
+    A semi-naive fixed point on bits.  Every member found is a product of
+    the minimal generators, so once each member composed on the right with
+    each minimal generator is covered, the up-set is closed: for members a
+    and b = g1*...*gk, a*g1 covers some member a1, a1*g2 some a2, and so on
+    up to a*b.  The up-set only grows, so what one round covers stays
+    covered, and each round composes only the members the round before
+    added.  Raises MonoidConstructionError as soon as the antichain and the
+    round's uncovered products pass MAX_CLOSURE_MEMBERS.
+    """
     gens = list(generators)
     for g in gens:
         if g.ground != ground:
             raise GroundSetMismatchError("generator on wrong ground set")
-    antichain = minimize(gens + [BinaryRelation.identity(ground)])
-    while True:
-        fresh = []
-        for a in antichain:
-            for b in antichain:
-                prod = compose(a, b)
-                if not any(m.is_subset(prod) for m in antichain):
-                    fresh.append(prod)
-        if not fresh:
-            break
-        antichain = minimize(antichain + fresh)
-    return ClosedMonoid(ground, tuple(antichain))
+    n = ground.size
+    identity = BinaryRelation.identity(ground).bits
+    antichain = _minimal_bits([g.bits for g in gens] + [identity])
+    factors = [g for g in antichain if g != identity]
+    fresh = antichain
+    while fresh:
+        members = set(antichain)
+        pending: set[int] = set()
+        for a in fresh:
+            for g in factors:
+                prod = compose_bits(a, g, n)
+                if prod in pending or _covered(prod, members, antichain):
+                    continue
+                pending.add(prod)
+                if len(antichain) + len(pending) > MAX_CLOSURE_MEMBERS:
+                    raise MonoidConstructionError(
+                        f"the closure of these generators on {n} states "
+                        f"holds more than {MAX_CLOSURE_MEMBERS} relations"
+                    )
+        antichain = _minimal_bits(antichain + list(pending))
+        fresh = pending.intersection(antichain)
+    return ClosedMonoid(ground, _in_row_order(ground, antichain))
 
 
 # -- canonical families ------------------------------------------------------

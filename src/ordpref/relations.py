@@ -260,24 +260,32 @@ class BinaryRelation:
             rel = wider
 
 
+def compose_bits(first: int, then: int, n: int) -> int:
+    """The bits of `compose` for two relations on n elements given by their
+    bits.
+
+    Row i of the result is the union of the rows j of `then` with (i, j) in
+    `first`.  For each j, ``first >> j & column`` has bit n*i set for
+    exactly those i, so multiplying it by row j of `then` copies that row
+    into each of them; the copies do not overlap, so no carries occur.
+    """
+    full = (1 << n) - 1
+    column = ((1 << n * n) - 1) // full  # bit n*i for every row i
+    bits = 0
+    for j in range(n):
+        bits |= (first >> j & column) * (then >> n * j & full)
+    return bits
+
+
 def compose(first: BinaryRelation, then: BinaryRelation) -> BinaryRelation:
     """Chase pairs through `first` and then `then`.
 
     result(i, k) holds iff there is j with first(i, j) and then(j, k).
     In conventional right-to-left notation this is `then . first`.
-
-    Row i of the result is the union of the rows j of `then` with (i, j) in
-    `first`.  For each j, ``first.bits >> j & column`` has bit n*i set for
-    exactly those i, so multiplying it by row j of `then` copies that row
-    into each of them; the copies do not overlap, so no carries occur.
     """
     _check_same_ground(first, then)
     n = first.ground.size
-    column = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit n*i for every row i
-    bits = 0
-    for j, row in enumerate(then.rows):
-        bits |= (first.bits >> j & column) * row
-    return BinaryRelation(first.ground, bits)
+    return BinaryRelation(first.ground, compose_bits(first.bits, then.bits, n))
 
 
 def all_relations(ground: GroundSet) -> Iterator[BinaryRelation]:

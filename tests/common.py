@@ -226,6 +226,44 @@ def beta_both_antichain(g: GroundSet) -> tuple[BinaryRelation, ...]:
     ))
 
 
+def closure_antichain(
+    ground: GroundSet, generators: list[BinaryRelation]
+) -> tuple[BinaryRelation, ...]:
+    """Minimal antichain of the least closed submonoid containing the
+    generators: every round composes all pairs of the current antichain
+    and adds the products it does not cover, until a round adds none."""
+    antichain = minimize(list(generators) + [BinaryRelation.identity(ground)])
+    while True:
+        fresh = []
+        for a in antichain:
+            for b in antichain:
+                prod = compose(a, b)
+                if not any(m.is_subset(prod) for m in antichain):
+                    fresh.append(prod)
+        if not fresh:
+            return tuple(antichain)
+        antichain = minimize(antichain + fresh)
+
+
+def closed_family_masks(ground: GroundSet) -> list[int]:
+    """The closed submonoids on a two-element state set as 16-bit masks over
+    relation bits, sorted by (size, mask): every one of the 2^16 families
+    is tested for the identity, up-closure and closure under composition."""
+    assert ground.size == 2
+    rels = list(all_relations(ground))
+    identity = BinaryRelation.identity(ground).bits
+    masks = []
+    for family in range(1 << 16):
+        members = [r for r in rels if family >> r.bits & 1]
+        if (
+            family >> identity & 1
+            and all(family >> (a.bits | b.bits) & 1 for a in members for b in rels)
+            and all(family >> compose(a, b).bits & 1 for a in members for b in members)
+        ):
+            masks.append(family)
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
 @dataclass(frozen=True)
 class ValidationResult:
     ok: bool

@@ -313,6 +313,25 @@ class TestMainCommands:
         assert time.perf_counter() - start < 1.0
         self.assert_one_line_error(capsys, "more than 65536 generator sets")
 
+    def test_gens_closure_too_large_fails_fast(self, tmp_path, capsys):
+        # a 5-cycle, the swap y1<->y2 and the collapse y2->y1 generate all
+        # 3125 maps on 5 states
+        game = tmp_path / "five.dmp"
+        game.write_text(
+            "outcomes: lo hi\norder: lo<hi\nstrategies: x1 x2\n"
+            "states: y1 y2 y3 y4 y5\nrow x1: lo hi lo hi lo\nrow x2: hi lo hi lo hi\n"
+        )
+        gens = tmp_path / "maps5.rel"
+        gens.write_text(
+            "y1 y2\ny2 y3\ny3 y4\ny4 y5\ny5 y1\n\n"
+            "y1 y2\ny2 y1\ny3 y3\ny4 y4\ny5 y5\n\n"
+            "y1 y1\ny2 y1\ny3 y3\ny4 y4\ny5 y5\n"
+        )
+        start = time.perf_counter()
+        assert main(["derive", "--dmp", str(game), "--monoid", f"gens={gens}"]) == 2
+        assert time.perf_counter() - start < 1.0
+        self.assert_one_line_error(capsys, "holds more than 500 relations")
+
     def test_bad_monoid_spec_is_input_error(self, example1_file, capsys):
         assert main(["derive", "--dmp", example1_file, "--monoid", "nope"]) == 2
         assert "unknown monoid spec" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 import pytest
 
-from common import ground, longest_chain
+from common import closed_family_masks, ground, longest_chain
 
 from ordpref.dmp import DMP, derive, pareto, state_preference
 from ordpref.fixtures import five_lattice
@@ -39,6 +39,14 @@ def lattice() -> MonoidLattice:
 class TestExhaustiveEnumeration:
     def test_element_count_is_pinned(self, lattice):
         assert len(lattice.elements) == 16
+
+    def test_member_sets_match_the_oracle(self, lattice):
+        rels = list(all_relations(Y2))
+        masks = [
+            sum(1 << r.bits for r in rels if monoid.contains(r))
+            for monoid in lattice.elements
+        ]
+        assert masks == closed_family_masks(Y2)
 
     def test_rejects_other_sizes(self):
         with pytest.raises(ValueError):

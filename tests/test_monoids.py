@@ -1,12 +1,15 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import ground, relation_strategy, validate_closed_predicate
+from common import closure_antichain, ground, relation_strategy, validate_closed_predicate
 
 from ordpref.monoids import (
+    MAX_CLOSURE_MEMBERS,
     ClosedMonoid,
     MonoidConstructionError,
     atom_monoid,
@@ -26,6 +29,7 @@ from ordpref.relations import BinaryRelation, all_relations, compose
 
 Y2 = ground(2)
 Y3 = ground(3)
+Y4 = ground(4)
 
 
 def rel(g, *pairs):
@@ -33,6 +37,18 @@ def rel(g, *pairs):
 
 
 SWAP = rel(Y2, ("y1", "y2"), ("y2", "y1"))
+
+
+def all_maps_generators(g):
+    """A cycle through every state, the swap of y1 and y2 and the collapse
+    of y2 onto y1: together they generate every map on the states."""
+    n = g.size
+    fixed = [(i, i) for i in range(2, n)]
+    return [
+        BinaryRelation.from_index_pairs(g, [(i, (i + 1) % n) for i in range(n)]),
+        BinaryRelation.from_index_pairs(g, [(0, 1), (1, 0)] + fixed),
+        BinaryRelation.from_index_pairs(g, [(0, 0), (1, 0)] + fixed),
+    ]
 
 
 class TestClosure:
@@ -61,6 +77,44 @@ class TestClosure:
         small = closure(Y2, gens)
         big = closure(Y2, gens + [extra])
         assert big.includes(small)
+
+
+class TestClosureAgainstOracle:
+    """`closure()` gives the same antichain, in the same order, as the
+    round-by-round closure of all antichain pairs in tests/common.py."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_single_generator(self, n):
+        g = ground(n)
+        for gen in all_relations(g):
+            assert closure(g, [gen]).min_antichain == closure_antichain(g, [gen])
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_seeded_generator_sets_on_four_states(self, seed):
+        rng = random.Random(seed)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:  # a map graph: members stay incomparable
+                pairs = [(i, rng.randrange(4)) for i in range(4)]
+                gens.append(BinaryRelation.from_index_pairs(Y4, pairs))
+            else:
+                density = rng.choice([0.2, 0.3, 0.4])
+                cells = [c for c in range(16) if rng.random() < density]
+                gens.append(BinaryRelation(Y4, sum(1 << c for c in cells)))
+        assert closure(Y4, gens).min_antichain == closure_antichain(Y4, gens)
+
+
+class TestClosureBound:
+    def test_all_maps_on_four_states_build(self):
+        assert closure(Y4, all_maps_generators(Y4)) == total_monoid(Y4)
+
+    def test_all_maps_on_five_states_are_refused_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(
+            MonoidConstructionError, match=f"more than {MAX_CLOSURE_MEMBERS} relations"
+        ):
+            closure(ground(5), all_maps_generators(ground(5)))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestContains:
@@ -222,3 +276,22 @@ class TestValidation:
     def test_constructor_rejects_comparable_antichain(self):
         with pytest.raises(MonoidConstructionError):
             ClosedMonoid(Y2, (BinaryRelation.empty(Y2), BinaryRelation.identity(Y2)))
+
+    @pytest.mark.parametrize(
+        "n, bits, message",
+        [
+            (2, (1, 2, 9),
+             "not an antichain: {(y1,y1)} and {(y1,y1), (y2,y2)} are comparable"),
+            (2, (2, 12), "identity relation is not a member"),
+            (2, (9, 2), "not composition-closed: {(y1,y2)}*{(y1,y2)} = {} escapes"),
+            (3, (273, 243, 133),
+             "not composition-closed: {(y1,y1), (y1,y2), (y2,y2), (y2,y3), (y3,y1), "
+             "(y3,y2)}*{(y1,y1), (y1,y3), (y3,y2)} = {(y1,y1), (y1,y2), (y3,y2), "
+             "(y3,y3)} escapes"),
+        ],
+    )
+    def test_rejection_messages(self, n, bits, message):
+        g = ground(n)
+        with pytest.raises(MonoidConstructionError) as info:
+            ClosedMonoid(g, tuple(BinaryRelation(g, b) for b in bits))
+        assert str(info.value) == message
