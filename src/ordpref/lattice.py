@@ -60,10 +60,11 @@ def enumerate_exhaustive(ground: GroundSet) -> MonoidLattice:
             "use enumerate_generated for larger sets"
         )
     n = ground.size
-    # A family is a mask over the relations on `ground`, a relation's bit
-    # being its own bits.  Adding to an up-closed family a non-member whose
-    # proper supersets are all members keeps it up-closed, and every up-set
-    # that holds the identity is reached that way from up(identity).
+    # A family is a mask over the relations on `ground`: bit r stands for
+    # the relation whose bits are r.  Adding to an up-closed family a
+    # non-member whose proper supersets are all members keeps it up-closed,
+    # and every up-set that holds the identity is reached that way from
+    # up(identity), by adding a maximal missing member at each step.
     rels = range(1 << n * n)
     above = [sum(1 << s for s in rels if s != r and r & ~s == 0) for r in rels]
     below = [sum(1 << s for s in rels if s != r and s & ~r == 0) for r in rels]

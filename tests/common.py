@@ -230,9 +230,18 @@ def closure_antichain(
     ground: GroundSet, generators: list[BinaryRelation]
 ) -> tuple[BinaryRelation, ...]:
     """Minimal antichain of the least closed submonoid containing the
-    generators: every round composes all pairs of the current antichain
-    and adds the products it does not cover, until a round adds none."""
-    antichain = minimize(list(generators) + [BinaryRelation.identity(ground)])
+    generators, in row order: every round composes all pairs of the current
+    antichain and adds the products it does not cover, until a round adds
+    none.  Minimal elements are picked pairwise, not by `minimize`."""
+
+    def minimal(rels: list[BinaryRelation]) -> list[BinaryRelation]:
+        unique = set(rels)
+        return sorted(
+            (r for r in unique if not any(m != r and m.is_subset(r) for m in unique)),
+            key=lambda r: r.rows,
+        )
+
+    antichain = minimal(list(generators) + [BinaryRelation.identity(ground)])
     while True:
         fresh = []
         for a in antichain:
@@ -242,7 +251,7 @@ def closure_antichain(
                     fresh.append(prod)
         if not fresh:
             return tuple(antichain)
-        antichain = minimize(antichain + fresh)
+        antichain = minimal(antichain + fresh)
 
 
 def closed_family_masks(ground: GroundSet) -> list[int]:
