@@ -2,7 +2,8 @@
 fixture games, compared byte for byte.
 
 Each golden file holds an "exit: N" line followed by the command's exact
-stdout, run in a directory that holds the input files.  The `gens=` and
+stdout, run in a directory that holds the input files; a command that
+writes to stderr adds a "stderr:" line and its exact stderr after that.  The `gens=` and
 `idempotent=` cases read the relation files in RELATION_FILES, so the CLI
 path through `closure()` is pinned too.  Two more files pin the canonical
 antichain order of the lattice module: the DOT export of the two-state
@@ -89,6 +90,20 @@ def _cases() -> dict[str, list[str]]:
         "lattice", "--states", "3", "--generated", "--max-gens", "1",
     ]
     cases["anomalies"] = ["anomalies"]
+    # Input errors: exit 2 and one stderr line.
+    cases["error-check-morphism-unknown-order-label"] = [
+        "check", "--dmp", "{example2}", "--monoid", "pareto", "--morphism", "{bad_order}",
+    ]
+    cases["error-derive-gens-missing-file"] = [
+        "derive", "--dmp", "{example1}", "--monoid", "gens=missing.rel",
+    ]
+    cases["error-derive-dictator-empty"] = [
+        "derive", "--dmp", "{example1}", "--monoid", "dictator=",
+    ]
+    cases["error-derive-unknown-spec"] = [
+        "derive", "--dmp", "{example1}", "--monoid", "bogus",
+    ]
+    cases["error-lattice-states3"] = ["lattice", "--states", "3"]
     return cases
 
 
@@ -108,12 +123,14 @@ PINS = {
 }
 
 
-def _morphism_text() -> str:
+def _morphism_text(unknown_in_order: bool = False) -> str:
     mapping, target = fixtures.example2_morphism()
     lines = [
         "outcomes: " + " ".join(target.ground.labels),
         "order: " + " ".join(f"{u}<{v}" for u, v in strict_part(target).pairs()),
     ]
+    if unknown_in_order:
+        lines[1] += " z<" + target.ground.labels[0]
     lines += [f"map {a} -> {b}" for a, b in mapping.items()]
     return "\n".join(lines) + "\n"
 
@@ -122,6 +139,7 @@ def _morphism_text() -> str:
 # since `derive` prints its monoid spec and so the path of a relation file.
 INPUTS = {name: f"{name}.dmp" for name in GAMES}
 INPUTS["morphism"] = "example2.mor"
+INPUTS["bad_order"] = "bad-order.mor"
 INPUTS.update((name, f"{name}.rel") for name in RELATION_FILES)
 
 
@@ -129,22 +147,24 @@ def _write_inputs(directory: Path) -> None:
     for name, game in GAMES.items():
         (directory / INPUTS[name]).write_text(render_dmp(game))
     (directory / INPUTS["morphism"]).write_text(_morphism_text())
+    (directory / INPUTS["bad_order"]).write_text(_morphism_text(unknown_in_order=True))
     for name, text in RELATION_FILES.items():
         (directory / INPUTS[name]).write_text(text)
 
 
 def _run(argv: list[str], directory: Path) -> str:
-    """The golden text of one command run in `directory`: exit line plus
-    captured stdout."""
-    out = io.StringIO()
+    """The golden text of one command run in `directory`: exit line,
+    captured stdout, and captured stderr if there is any."""
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([arg.format(**INPUTS) for arg in argv])
     finally:
         os.chdir(cwd)
-    return f"exit: {code}\n{out.getvalue()}"
+    stderr = f"stderr:\n{err.getvalue()}" if err.getvalue() else ""
+    return f"exit: {code}\n{out.getvalue()}{stderr}"
 
 
 @pytest.fixture(scope="module")
