@@ -12,27 +12,16 @@ from pathlib import Path
 
 from . import dmp as dmp_ops
 from . import fixtures
-from .dmp import DMP, MorphismError, apply_morphism, check_functoriality, derive
+from .dmp import MorphismError, apply_morphism, check_functoriality, derive
 from .lattice import (
+    check_generated,
     element_labels,
     enumerate_exhaustive,
     enumerate_generated,
     export_dot,
     preference_census,
 )
-from .monoids import (
-    ClosedMonoid,
-    beta_both_monoid,
-    closure,
-    dictator_monoid,
-    filter_monoid,
-    idempotent_monoid,
-    atom_monoid,
-    reflexive_monoid,
-    surjective_monoid,
-    total_monoid,
-    universal_monoid,
-)
+from .monoids import NAMED_MONOIDS, ClosedMonoid, closure, filter_monoid, idempotent_monoid
 from .orders import OrderValidationError
 from .relations import GroundSet, GroundSetMismatchError
 from .textio import (
@@ -48,54 +37,52 @@ class InputError(Exception):
     pass
 
 
-def _load_dmp(path: str) -> DMP:
+def _parse(path: str, parser, *args):
+    """`parser` applied to the UTF-8 text of the file at `path` and `args`;
+    a file that cannot be read or parsed is an input error naming `path`."""
     try:
-        return parse_dmp(Path(path).read_text(encoding="utf-8"))
+        return parser(Path(path).read_text(encoding="utf-8"), *args)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except DmpParseError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
+# Older spellings of three named monoids, after their relation families.
+_SPEC_ALIASES = {"reflexive": "pareto", "surjective": "beta", "total": "dual-beta"}
+
+
 def parse_monoid_spec(spec: str, states: GroundSet) -> ClosedMonoid:
-    """Monoid by canonical name, name=params, or gens=<relation file>."""
+    """Monoid by name (NAMED_MONOIDS, NAME=Y for a per-state one),
+    filter=Y1,Y2, or a relation file: idempotent=FILE or gens=FILE."""
     name, _, arg = spec.partition("=")
+    name = _SPEC_ALIASES.get(name, name)
     try:
-        if name in ("pareto", "reflexive"):
-            return reflexive_monoid(states)
-        if name == "universal":
-            return universal_monoid(states)
-        if name in ("beta", "surjective"):
-            return surjective_monoid(states)
-        if name in ("dual-beta", "total"):
-            return total_monoid(states)
-        if name == "beta-both":
-            return beta_both_monoid(states)
-        if name == "dictator":
-            return dictator_monoid(states, arg)
+        if name in NAMED_MONOIDS:
+            build, per_state = NAMED_MONOIDS[name]
+            return build(states, arg) if per_state else build(states)
         if name == "filter":
             return filter_monoid(states, arg.split(","))
-        if name == "atom":
-            return atom_monoid(states, arg)
         if name == "idempotent":
-            rels = parse_relations(Path(arg).read_text(), states)
+            rels = _parse(arg, parse_relations, states)
             if len(rels) != 1:
                 raise InputError(f"{arg}: expected exactly one relation")
             return idempotent_monoid(states, rels[0])
         if name == "gens":
-            rels = parse_relations(Path(arg).read_text(), states)
-            return closure(states, rels)
-    except (KeyError, ValueError, OSError, DmpParseError) as exc:
+            return closure(states, _parse(arg, parse_relations, states))
+    except KeyError as exc:  # str() of a KeyError is its repr
+        raise InputError(f"monoid spec {spec!r}: {exc.args[0]}") from None
+    except ValueError as exc:
         raise InputError(f"monoid spec {spec!r}: {exc}") from None
+    known = [key + "=Y" * per_state for key, (_, per_state) in NAMED_MONOIDS.items()]
     raise InputError(
-        f"unknown monoid spec {spec!r}; known: pareto, universal, beta, "
-        "dual-beta, beta-both, dictator=Y, filter=Y1,Y2, atom=Y, "
-        "idempotent=FILE, gens=FILE"
+        f"unknown monoid spec {spec!r}; known: {', '.join(known)}, "
+        "filter=Y1,Y2, idempotent=FILE, gens=FILE"
     )
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    game = _load_dmp(args.dmp)
+    game = _parse(args.dmp, parse_dmp)
     monoid = parse_monoid_spec(args.monoid, game.states)
     pref = derive(game, monoid)
     print(f"derived preference for monoid {args.monoid}:")
@@ -190,30 +177,31 @@ def cmd_anomalies(_args: argparse.Namespace) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
-    game = _load_dmp(args.dmp) if args.dmp else None
-    if game is not None:
-        states = game.states
-    else:
-        if args.states < 1:
-            raise InputError(f"--states must be at least 1, got {args.states}")
-        states = GroundSet(tuple(f"y{i + 1}" for i in range(args.states)))
-
+    game = _parse(args.dmp, parse_dmp) if args.dmp else None
+    # Every size bound is checked before the state set is built.
+    n = game.states.size if game else args.states
+    if n < 1:
+        raise InputError(f"--states must be at least 1, got {n}")
     if args.generated:
         if args.max_gens < 0:
             raise InputError(f"--max-gens must be at least 0, got {args.max_gens}")
         try:
-            monoids = enumerate_generated(states, max_generators=args.max_gens)
+            check_generated(n, args.max_gens)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        print(f"{len(monoids)} closed submonoids generated by up to "
-              f"{args.max_gens} relations on {states.size} states")
-        return 0
-
-    if states.size != 2:
+    elif n != 2:
         raise InputError(
             "exhaustive enumeration needs exactly 2 states; pass --generated "
             "with --max-gens for larger state sets"
         )
+    states = game.states if game else GroundSet(tuple(f"y{i + 1}" for i in range(n)))
+
+    if args.generated:
+        monoids = enumerate_generated(states, max_generators=args.max_gens)
+        print(f"{len(monoids)} closed submonoids generated by up to "
+              f"{args.max_gens} relations on {states.size} states")
+        return 0
+
     lattice = enumerate_exhaustive(states)
     labels = element_labels(lattice)
     print(f"{len(lattice.elements)} closed submonoids on 2 states")
@@ -222,7 +210,10 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     print("atoms: " + " ".join(sorted(labels[i] for i in lattice.atoms)))
     print("dual atoms: " + " ".join(sorted(labels[i] for i in lattice.dual_atoms)))
     if args.dot:
-        Path(args.dot).write_text(export_dot(lattice, labels))
+        try:
+            Path(args.dot).write_text(export_dot(lattice, labels), encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dot}: {exc}") from None
         print(f"wrote {args.dot}")
     if game is not None:
         census = preference_census(game, lattice)
@@ -235,7 +226,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    game = _load_dmp(args.dmp)
+    game = _parse(args.dmp, parse_dmp)
     monoid = parse_monoid_spec(args.monoid, game.states)
     pref = derive(game, monoid)
     verdicts = []
@@ -243,14 +234,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     pareto_ok = dmp_ops.pareto(game).rel.is_subset(pref.rel)
     verdicts.append(("A2 contains Pareto-domination", pareto_ok, ""))
     if args.morphism:
+        mapping, target = _parse(args.morphism, parse_morphism, game.outcomes.ground)
         try:
-            mapping, target = parse_morphism(
-                Path(args.morphism).read_text(encoding="utf-8"), game.outcomes.ground
-            )
             morphism, _ = apply_morphism(game, mapping, target)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {args.morphism}: {exc}") from None
-        except (DmpParseError, MorphismError) as exc:
+        except MorphismError as exc:
             raise InputError(f"{args.morphism}: {exc}") from None
         a3_ok, witness = check_functoriality(morphism, monoid)
         verdicts.append(
@@ -268,7 +255,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    game = _load_dmp(args.dmp)
+    game = _parse(args.dmp, parse_dmp)
     print(
         f"valid: {game.strategies.size} strategies, {game.states.size} states, "
         f"{game.outcomes.ground.size} outcomes"

@@ -13,20 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .dmp import DMP, Preference, derive
-from .monoids import (
-    ClosedMonoid,
-    atom_monoid,
-    beta_both_monoid,
-    closure,
-    dictator_monoid,
-    reflexive_monoid,
-    surjective_monoid,
-    total_monoid,
-    universal_monoid,
-)
+from .monoids import NAMED_MONOIDS, ClosedMonoid, atom_monoid, closure, reflexive_monoid
 from .orders import OutcomeMap, PartialOrder
 from .relations import (
     BinaryRelation,
@@ -48,8 +38,11 @@ class MonoidLattice:
     greatest: int
 
 
-# Most closures `enumerate_generated` takes: one per relation on 4 states.
-MAX_GENERATED_CLOSURES = 65_536
+# `enumerate_generated` draws generators from the 2^(n²) relations on n
+# states and takes one closure per generator set.  It refuses more than
+# 2^16 of either: one closure per relation on 4 states.
+MAX_POOL_CELLS = 16
+MAX_GENERATED_CLOSURES = 1 << MAX_POOL_CELLS
 
 
 def enumerate_exhaustive(ground: GroundSet) -> MonoidLattice:
@@ -120,29 +113,36 @@ def _build_lattice(
     )
 
 
-def enumerate_generated(
-    ground: GroundSet,
-    pool: Iterable[BinaryRelation] | None = None,
-    max_generators: int = 1,
-) -> list[ClosedMonoid]:
-    """Closures of all generator subsets up to `max_generators`, deduplicated.
-    Raises ValueError, before taking any, if there are more than
-    MAX_GENERATED_CLOSURES of them."""
-    pool_rels = list(pool) if pool is not None else None
-    size = 1 << ground.size**2 if pool_rels is None else len(pool_rels)
-    counts = itertools.accumulate(comb(size, k) for k in range(1, min(max_generators, size) + 1))
-    if any(c > MAX_GENERATED_CLOSURES for c in counts):
+def check_generated(n_states: int, max_generators: int) -> None:
+    """Raise ValueError if `enumerate_generated` on `n_states` states would
+    draw from more than MAX_GENERATED_CLOSURES relations or take more
+    closures than that.  Decided from the counts, building nothing."""
+    cells = n_states * n_states
+    if cells <= MAX_POOL_CELLS:
+        pool = 1 << cells
+        sets = sum(comb(pool, k) for k in range(1, min(max_generators, pool) + 1))
+        if sets <= MAX_GENERATED_CLOSURES:
+            return
+    if max_generators > 0:
         raise ValueError(
             f"more than {MAX_GENERATED_CLOSURES} generator sets of up to "
-            f"{max_generators} of {size} relations"
+            f"{max_generators} of 2^{cells} relations"
         )
-    if pool_rels is None:
-        pool_rels = list(all_relations(ground))
+    raise ValueError(
+        f"more than {MAX_GENERATED_CLOSURES} relations to draw generators from: "
+        f"2^{cells} on {n_states} states"
+    )
+
+
+def enumerate_generated(ground: GroundSet, max_generators: int = 1) -> list[ClosedMonoid]:
+    """Closures of all generator subsets up to `max_generators`, deduplicated.
+    Raises ValueError from `check_generated` before building any relation."""
+    check_generated(ground.size, max_generators)
     seen: dict[tuple, ClosedMonoid] = {}
     base = reflexive_monoid(ground)
     seen[base.min_antichain] = base
-    for k in range(1, max_generators + 1):
-        for gens in itertools.combinations(pool_rels, k):
+    for k in range(1, min(max_generators, 1 << ground.size**2) + 1):
+        for gens in itertools.combinations(all_relations(ground), k):
             monoid = closure(ground, gens)
             seen.setdefault(monoid.min_antichain, monoid)
     return sorted(
@@ -201,34 +201,25 @@ def represent_relation(
 
 
 def canonical_names(ground: GroundSet) -> list[tuple[str, ClosedMonoid]]:
-    """Named monoids in display-precedence order."""
-    named: list[tuple[str, ClosedMonoid]] = [
-        ("pareto", reflexive_monoid(ground)),
-        ("universal", universal_monoid(ground)),
-    ]
-    for y in ground.labels:
-        named.append((f"dictator:{y}", dictator_monoid(ground, y)))
-    named.append(("beta", surjective_monoid(ground)))
-    named.append(("dual-beta", total_monoid(ground)))
-    named.append(("beta-both", beta_both_monoid(ground)))
-    if ground.size >= 2:
-        for y in ground.labels:
-            named.append((f"atom:{y}", atom_monoid(ground, y)))
+    """The NAMED_MONOIDS on `ground` in display-precedence order; a
+    per-state name carries its state, as in dictator:y1.  Atoms need two
+    states."""
+    named = []
+    for name, (build, per_state) in NAMED_MONOIDS.items():
+        if not per_state:
+            named.append((name, build(ground)))
+        elif name != "atom" or ground.size >= 2:
+            named += [(f"{name}:{y}", build(ground, y)) for y in ground.labels]
     return named
 
 
 def element_labels(lattice: MonoidLattice) -> list[str]:
-    """A deterministic display name per lattice element."""
-    named = canonical_names(lattice.ground)
-    labels = []
-    for monoid in lattice.elements:
-        for name, candidate in named:
-            if monoid == candidate:
-                labels.append(name)
-                break
-        else:
-            labels.append(monoid.signature())
-    return labels
+    """A deterministic display name per lattice element: its first canonical
+    name, else its signature."""
+    names: dict[ClosedMonoid, str] = {}
+    for name, monoid in canonical_names(lattice.ground):
+        names.setdefault(monoid, name)
+    return [names[m] if m in names else m.signature() for m in lattice.elements]
 
 
 def export_dot(lattice: MonoidLattice, labels: Sequence[str] | None = None) -> str:

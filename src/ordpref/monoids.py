@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .relations import (
     BinaryRelation,
@@ -330,6 +330,19 @@ def atom_monoid(ground: GroundSet, state: str) -> ClosedMonoid:
     return ClosedMonoid.from_antichain(
         ground, [BinaryRelation.identity(ground), near_full]
     )
+
+
+# The named monoids in display order, each with its builder and whether it
+# takes a state label (one monoid per state, as dictator=y1).
+NAMED_MONOIDS: dict[str, tuple[Callable[..., ClosedMonoid], bool]] = {
+    "pareto": (reflexive_monoid, False),
+    "universal": (universal_monoid, False),
+    "dictator": (dictator_monoid, True),
+    "beta": (surjective_monoid, False),
+    "dual-beta": (total_monoid, False),
+    "beta-both": (beta_both_monoid, False),
+    "atom": (atom_monoid, True),
+}
 
 
 # -- lattice operations ------------------------------------------------------

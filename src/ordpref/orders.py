@@ -1,9 +1,10 @@
 """Validated partial orders on outcome sets and the map machinery above them.
 
-The central operation is `pullback`: given two maps phi, psi from states to
-outcomes and an order on the outcomes, it produces the relation on states
-pairing y1 with y2 whenever phi(y1) <= psi(y2).  Everything the preference
-engine derives reduces to membership tests on such pullbacks.
+`pullback` takes two maps phi, psi from states to outcomes and an order on
+the outcomes, and gives the relation on states pairing y1 with y2 whenever
+phi(y1) <= psi(y2).  It is the defining form of a state preference: `derive`
+reads the same relation off per-game up-masks (`dmp.state_preference`), and
+the tests compare the two.
 """
 
 from __future__ import annotations

@@ -12,10 +12,14 @@ ignored, tokens are whitespace-separated::
 
 Relation files hold one "yi yj" pair per line; in generator files, blank
 lines separate the generators.  Morphism files have target "outcomes:" and
-"order:" sections plus "map a -> b" lines.
+"order:" sections plus "map a -> b" lines.  Game and morphism files share
+one grammar: each "name:" section exactly once, in any order, plus the
+format's own "row" or "map" lines.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .dmp import DMP, Preference
 from .orders import OrderValidationError, PartialOrder, from_comparabilities, strict_part
@@ -38,63 +42,73 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_order_items(items: list[str], lineno: int) -> list[tuple[str, str]]:
-    pairs = []
-    for item in items:
-        if "<" not in item:
-            raise DmpParseError(f"order item {item!r} must look like u<v", lineno)
-        u, v = item.split("<", 1)
-        if not u or not v:
-            raise DmpParseError(f"order item {item!r} must look like u<v", lineno)
-        pairs.append((u, v))
-    return pairs
-
-
-def parse_dmp(text: str) -> DMP:
+def _sections(
+    text: str, names: tuple[str, ...], keyword: str, handle: Callable[[list[str], int], None]
+) -> dict:
+    """The "name: ..." sections of a file, each once, as name -> (line,
+    tokens); lines that start with `keyword` go to `handle(tokens, line)`."""
     sections: dict[str, tuple[int, list[str]]] = {}
-    rows: dict[str, tuple[int, list[str]]] = {}
     for lineno, body in _logical_lines(text):
         tokens = body.split()
-        head = tokens[0]
-        if head in ("outcomes:", "order:", "strategies:", "states:"):
-            name = head[:-1]
+        name = tokens[0][:-1]
+        if tokens[0].endswith(":") and name in names:
             if name in sections:
                 raise DmpParseError(f"duplicate section {name!r}", lineno)
             sections[name] = (lineno, tokens[1:])
-        elif head == "row":
-            if len(tokens) < 2 or not tokens[1].endswith(":"):
-                raise DmpParseError("row line must look like 'row <strategy>: ...'", lineno)
-            strategy = tokens[1][:-1]
-            if strategy in rows:
-                raise DmpParseError(f"duplicate row for strategy {strategy!r}", lineno)
-            rows[strategy] = (lineno, tokens[2:])
+        elif tokens[0] == keyword:
+            handle(tokens, lineno)
         else:
             raise DmpParseError(f"unrecognized line {body!r}", lineno)
-
-    for name in ("outcomes", "order", "strategies", "states"):
+    for name in names:
         if name not in sections:
             raise DmpParseError(f"missing section {name!r}")
+    return sections
 
-    def ground(name: str) -> GroundSet:
-        lineno, labels = sections[name]
-        try:
-            return GroundSet(tuple(labels))
-        except ValueError as exc:
-            raise DmpParseError(str(exc), lineno) from None
 
-    outcomes = ground("outcomes")
-    strategies = ground("strategies")
-    states = ground("states")
-    order_line, order_items = sections["order"]
-    pairs = _parse_order_items(order_items, order_line)
+def _ground(sections: dict, name: str) -> GroundSet:
+    lineno, labels = sections[name]
+    try:
+        return GroundSet(tuple(labels))
+    except ValueError as exc:
+        raise DmpParseError(str(exc), lineno) from None
+
+
+def _order(sections: dict, outcomes: GroundSet) -> PartialOrder:
+    """The "order:" section's comparabilities u<v, closed into a partial
+    order on `outcomes`."""
+    lineno, items = sections["order"]
+    pairs = []
+    for item in items:
+        u, _, v = item.partition("<")
+        if not u or not v:
+            raise DmpParseError(f"order item {item!r} must look like u<v", lineno)
+        pairs.append((u, v))
     for u, v in pairs:
         for lab in (u, v):
             if lab not in outcomes:
-                raise DmpParseError(f"unknown outcome {lab!r} in order", order_line)
+                raise DmpParseError(f"unknown outcome {lab!r} in order", lineno)
     try:
-        order = from_comparabilities(outcomes, pairs)
+        return from_comparabilities(outcomes, pairs)
     except OrderValidationError as exc:
-        raise DmpParseError(str(exc), order_line) from None
+        raise DmpParseError(str(exc), lineno) from None
+
+
+def parse_dmp(text: str) -> DMP:
+    rows: dict[str, tuple[int, list[str]]] = {}
+
+    def row(tokens: list[str], lineno: int) -> None:
+        if len(tokens) < 2 or not tokens[1].endswith(":"):
+            raise DmpParseError("row line must look like 'row <strategy>: ...'", lineno)
+        strategy = tokens[1][:-1]
+        if strategy in rows:
+            raise DmpParseError(f"duplicate row for strategy {strategy!r}", lineno)
+        rows[strategy] = (lineno, tokens[2:])
+
+    sections = _sections(text, ("outcomes", "order", "strategies", "states"), "row", row)
+    outcomes = _ground(sections, "outcomes")
+    strategies = _ground(sections, "strategies")
+    states = _ground(sections, "states")
+    order = _order(sections, outcomes)
 
     table_rows = {}
     for strategy in strategies.labels:
@@ -153,41 +167,21 @@ def parse_relations(text: str, states: GroundSet) -> list[BinaryRelation]:
 
 def parse_morphism(text: str, source_outcomes: GroundSet) -> tuple[dict[str, str], PartialOrder]:
     """Target order plus the outcome map of a morphism file."""
-    sections: dict[str, tuple[int, list[str]]] = {}
     mapping: dict[str, str] = {}
-    for lineno, body in _logical_lines(text):
-        tokens = body.split()
-        head = tokens[0]
-        if head in ("outcomes:", "order:"):
-            name = head[:-1]
-            if name in sections:
-                raise DmpParseError(f"duplicate section {name!r}", lineno)
-            sections[name] = (lineno, tokens[1:])
-        elif head == "map":
-            if len(tokens) != 4 or tokens[2] != "->":
-                raise DmpParseError("map line must look like 'map a -> b'", lineno)
-            src, dst = tokens[1], tokens[3]
-            if src not in source_outcomes:
-                raise DmpParseError(f"unknown source outcome {src!r}", lineno)
-            if src in mapping:
-                raise DmpParseError(f"duplicate map entry for {src!r}", lineno)
-            mapping[src] = dst
-        else:
-            raise DmpParseError(f"unrecognized line {body!r}", lineno)
-    for name in ("outcomes", "order"):
-        if name not in sections:
-            raise DmpParseError(f"missing section {name!r}")
-    lineno, labels = sections["outcomes"]
-    try:
-        target_ground = GroundSet(tuple(labels))
-    except ValueError as exc:
-        raise DmpParseError(str(exc), lineno) from None
-    order_line, order_items = sections["order"]
-    pairs = _parse_order_items(order_items, order_line)
-    try:
-        order = from_comparabilities(target_ground, pairs)
-    except (OrderValidationError, KeyError) as exc:
-        raise DmpParseError(str(exc), order_line) from None
+
+    def map_line(tokens: list[str], lineno: int) -> None:
+        if len(tokens) != 4 or tokens[2] != "->":
+            raise DmpParseError("map line must look like 'map a -> b'", lineno)
+        src, dst = tokens[1], tokens[3]
+        if src not in source_outcomes:
+            raise DmpParseError(f"unknown source outcome {src!r}", lineno)
+        if src in mapping:
+            raise DmpParseError(f"duplicate map entry for {src!r}", lineno)
+        mapping[src] = dst
+
+    sections = _sections(text, ("outcomes", "order"), "map", map_line)
+    target_ground = _ground(sections, "outcomes")
+    order = _order(sections, target_ground)
     for dst in mapping.values():
         if dst not in target_ground:
             raise DmpParseError(f"unknown target outcome {dst!r}")

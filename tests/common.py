@@ -28,6 +28,16 @@ def relations_on(sizes=(1, 2, 3)):
     return st.sampled_from([ground(n) for n in sizes]).flatmap(relation_strategy)
 
 
+def render_morphism(mapping: dict[str, str], target: PartialOrder) -> str:
+    """Morphism file text: the target's outcomes and order, then the map."""
+    lines = [
+        "outcomes: " + " ".join(target.ground.labels),
+        "order: " + " ".join(f"{u}<{v}" for u, v in strict_part(target).pairs()),
+    ]
+    lines += [f"map {a} -> {b}" for a, b in mapping.items()]
+    return "\n".join(lines) + "\n"
+
+
 def random_partial_order(rng: random.Random, g: GroundSet, density: float = 0.4) -> PartialOrder:
     """Random order built on a shuffled index sequence, so it is always acyclic."""
     perm = list(range(g.size))

@@ -4,7 +4,7 @@ import pytest
 
 from common import ground
 
-from ordpref import fixtures
+from ordpref import fixtures, lattice
 from ordpref.cli import InputError, main, parse_monoid_spec
 from ordpref.monoids import (
     beta_both_monoid,
@@ -135,6 +135,16 @@ class TestParseMorphism:
         with pytest.raises(DmpParseError, match="map a -> b"):
             parse_morphism("outcomes: z\norder:\nmap y1 z\n", Y2)
 
+    def test_unknown_outcome_in_order(self):
+        with pytest.raises(DmpParseError, match="line 2: unknown outcome 'z' in order"):
+            parse_morphism("outcomes: lo hi\norder: lo<hi z<hi\n", Y2)
+
+    def test_duplicate_and_missing_sections(self):
+        with pytest.raises(DmpParseError, match="line 2: duplicate section 'outcomes'"):
+            parse_morphism("outcomes: lo\noutcomes: hi\n", Y2)
+        with pytest.raises(DmpParseError, match="missing section 'order'"):
+            parse_morphism("outcomes: lo hi\n", Y2)
+
 
 class TestRenderPreference:
     def test_matrix_and_pairs(self):
@@ -153,6 +163,9 @@ class TestMonoidSpec:
         assert parse_monoid_spec("beta", Y2) == surjective_monoid(Y2)
         assert parse_monoid_spec("dual-beta", Y2) == total_monoid(Y2)
         assert parse_monoid_spec("beta-both", Y2) == beta_both_monoid(Y2)
+        assert parse_monoid_spec("reflexive", Y2) == reflexive_monoid(Y2)
+        assert parse_monoid_spec("surjective", Y2) == surjective_monoid(Y2)
+        assert parse_monoid_spec("total", Y2) == total_monoid(Y2)
 
     def test_parametrized_names(self):
         assert parse_monoid_spec("dictator=y1", Y2) == dictator_monoid(Y2, "y1")
@@ -185,6 +198,20 @@ class TestMonoidSpec:
     def test_bad_dictator_state(self):
         with pytest.raises(InputError):
             parse_monoid_spec("dictator=zz", Y2)
+
+    @pytest.mark.parametrize(
+        "spec, label", [("dictator=", "''"), ("atom=zz", "'zz'"), ("filter=y1,,y2", "''")]
+    )
+    def test_unknown_state_message_is_plain(self, spec, label):
+        with pytest.raises(InputError) as info:
+            parse_monoid_spec(spec, Y2)
+        assert str(info.value) == f"monoid spec {spec!r}: unknown label {label}"
+
+    def test_non_utf8_relation_file(self, tmp_path):
+        path = tmp_path / "gens.rel"
+        path.write_bytes("y1 y2 # \u00e9\n".encode("latin-1"))
+        with pytest.raises(InputError, match=f"cannot read {path}: .*codec can't decode"):
+            parse_monoid_spec(f"gens={path}", Y2)
 
 
 class TestMainCommands:
@@ -312,6 +339,39 @@ class TestMainCommands:
         assert main(["lattice", "--states", "5", "--generated"]) == 2
         assert time.perf_counter() - start < 1.0
         self.assert_one_line_error(capsys, "more than 65536 generator sets")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", "--states", "30", "--generated", "--max-gens", "0"],
+            ["lattice", "--states", "5", "--generated", "--max-gens", "0"],
+            ["lattice", "--states", "100", "--generated"],
+            ["lattice", "--states", "120", "--generated"],
+            ["lattice", "--states", "1000000"],
+            ["lattice", "--states", "1000000", "--generated", "--max-gens", "0"],
+            ["lattice", "--states", "4", "--generated", "--max-gens", "2"],
+        ],
+    )
+    def test_lattice_size_bounds_fail_fast(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+    def test_lattice_without_generators_builds_no_relation(self, monkeypatch, capsys):
+        def fail(ground):
+            raise AssertionError("the relation pool was built")
+
+        monkeypatch.setattr(lattice, "all_relations", fail)
+        assert main(["lattice", "--states", "4", "--generated", "--max-gens", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out == "1 closed submonoids generated by up to 0 relations on 4 states\n"
+
+    def test_lattice_dot_into_missing_directory(self, tmp_path, capsys):
+        dot = tmp_path / "missing" / "x.dot"
+        assert main(["lattice", "--dot", str(dot)]) == 2
+        self.assert_one_line_error(capsys, f"cannot write {dot}: ")
 
     def test_gens_closure_too_large_fails_fast(self, tmp_path, capsys):
         # a 5-cycle, the swap y1<->y2 and the collapse y2->y1 generate all

@@ -3,9 +3,9 @@ fixture games, compared byte for byte.
 
 Each golden file holds an "exit: N" line followed by the command's exact
 stdout, run in a directory that holds the input files; a command that
-writes to stderr adds a "stderr:" line and its exact stderr after that.  The `gens=` and
-`idempotent=` cases read the relation files in RELATION_FILES, so the CLI
-path through `closure()` is pinned too.  Two more files pin the canonical
+writes to stderr adds a "stderr:" line and its exact stderr after that.
+The `gens=` and `idempotent=` cases read the relation files in
+RELATION_FILES, so the CLI path through `closure()` is pinned too.  Two more files pin the canonical
 antichain order of the lattice module: the DOT export of the two-state
 lattice and the signatures of the generated three-state monoids.  To record
 them all again from the current code:
@@ -23,10 +23,11 @@ from pathlib import Path
 
 import pytest
 
+from common import render_morphism
+
 from ordpref import fixtures
 from ordpref.cli import main
 from ordpref.lattice import enumerate_exhaustive, enumerate_generated, export_dot
-from ordpref.orders import strict_part
 from ordpref.relations import GroundSet
 from ordpref.textio import render_dmp
 
@@ -123,18 +124,6 @@ PINS = {
 }
 
 
-def _morphism_text(unknown_in_order: bool = False) -> str:
-    mapping, target = fixtures.example2_morphism()
-    lines = [
-        "outcomes: " + " ".join(target.ground.labels),
-        "order: " + " ".join(f"{u}<{v}" for u, v in strict_part(target).pairs()),
-    ]
-    if unknown_in_order:
-        lines[1] += " z<" + target.ground.labels[0]
-    lines += [f"map {a} -> {b}" for a, b in mapping.items()]
-    return "\n".join(lines) + "\n"
-
-
 # Input name -> file name, relative to the directory the commands run in,
 # since `derive` prints its monoid spec and so the path of a relation file.
 INPUTS = {name: f"{name}.dmp" for name in GAMES}
@@ -146,8 +135,12 @@ INPUTS.update((name, f"{name}.rel") for name in RELATION_FILES)
 def _write_inputs(directory: Path) -> None:
     for name, game in GAMES.items():
         (directory / INPUTS[name]).write_text(render_dmp(game))
-    (directory / INPUTS["morphism"]).write_text(_morphism_text())
-    (directory / INPUTS["bad_order"]).write_text(_morphism_text(unknown_in_order=True))
+    mapping, target = fixtures.example2_morphism()
+    morphism = render_morphism(mapping, target)
+    (directory / INPUTS["morphism"]).write_text(morphism)
+    # the same morphism with an unknown outcome in its order
+    unknown = "order: z<" + target.ground.labels[0]
+    (directory / INPUTS["bad_order"]).write_text(morphism.replace("order:", unknown, 1))
     for name, text in RELATION_FILES.items():
         (directory / INPUTS[name]).write_text(text)
 
