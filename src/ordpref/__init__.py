@@ -12,7 +12,6 @@ from .orders import (
     OrderValidationError,
     OutcomeMap,
     PartialOrder,
-    down_set,
     from_comparabilities,
     pullback,
     strict_part,

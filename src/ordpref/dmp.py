@@ -14,11 +14,12 @@ least as preferable as x1".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from functools import cached_property, reduce
+from operator import and_, or_
+from typing import Iterable, Iterator, Mapping
 
 from .monoids import ClosedMonoid
-from .orders import OutcomeMap, PartialOrder, down_set
+from .orders import OutcomeMap, PartialOrder
 # Not used here: kept as `dmp.pullback`, the name bench/replay.py counts
 # pullback calls through.
 from .orders import pullback  # noqa: F401
@@ -99,17 +100,19 @@ class Preference:
         return self.rel.holds(x1, x2)
 
     def maximal(self) -> tuple[str, ...]:
-        """Strategies not strictly below any other in the preorder: their
-        rows of the strict part are empty."""
-        strict = self.rel.difference(self.rel.inverse())
-        return tuple(x for x, row in zip(self.ground.labels, strict.rows) if not row)
+        """Strategies not strictly below any other in the preorder: x_i is
+        maximal iff every x_k in row i has bit i in its own row."""
+        rows = self.rel.rows
+        return tuple(
+            x for i, (x, row) in enumerate(zip(self.ground.labels, rows))
+            if all(r >> i & 1 for k, r in enumerate(rows) if row >> k & 1)
+        )
 
     def greatest(self) -> tuple[str, ...]:
-        """Strategies at least as preferable as every other one: their
-        columns are full."""
-        full = (1 << self.ground.size) - 1
-        columns = self.rel.inverse().rows
-        return tuple(x for x, col in zip(self.ground.labels, columns) if col == full)
+        """Strategies at least as preferable as every other one: their bit
+        is set in every row."""
+        common = reduce(and_, self.rel.rows)
+        return tuple(x for i, x in enumerate(self.ground.labels) if common >> i & 1)
 
 
 # -- basic derived relations -------------------------------------------------
@@ -163,18 +166,21 @@ def state_preference(game: DMP, x1: str, x2: str) -> BinaryRelation:
     return BinaryRelation(game.states, bits)
 
 
+def _state_preferences(game: DMP) -> Iterator[tuple[tuple[int, int], BinaryRelation]]:
+    """Every strategy index pair (i, k) with the state preference of
+    (x_i, x_k), in row order."""
+    labels = game.strategies.labels
+    for i, x1 in enumerate(labels):
+        for k, x2 in enumerate(labels):
+            yield (i, k), state_preference(game, x1, x2)
+
+
 def derive(game: DMP, monoid: ClosedMonoid) -> Preference:
     """Preference induced by a closed submonoid: (x1, x2) is accepted iff
     the state-preference of the pair is a member of the monoid."""
     if monoid.ground != game.states:
         raise GroundSetMismatchError("monoid must live on the game's state set")
-    labels = game.strategies.labels
-    pairs = [
-        (i, k)
-        for i, x1 in enumerate(labels)
-        for k, x2 in enumerate(labels)
-        if monoid.contains(state_preference(game, x1, x2))
-    ]
+    pairs = [pair for pair, rho in _state_preferences(game) if monoid.contains(rho)]
     rel = BinaryRelation.from_index_pairs(game.strategies, pairs)
     return Preference(game.strategies, rel)
 
@@ -189,10 +195,20 @@ class AlphaReport:
     greatest: tuple[str, ...]
 
 
+def _floors(game: DMP) -> list[int]:
+    """Per strategy, the mask of the outcomes below every entry of its row."""
+    below = game.outcomes.leq.inverse().rows
+    return [reduce(and_, (below[a] for a in row)) for row in game.table]
+
+
+def _labels(game: DMP, mask: int) -> frozenset[str]:
+    """The labels of the outcomes in an outcome mask."""
+    return frozenset(a for i, a in enumerate(game.outcomes.ground.labels) if mask >> i & 1)
+
+
 def guaranteed_outcomes(game: DMP, x: str) -> frozenset[str]:
     """Outcomes guaranteed by a strategy: lower bounds of its table row."""
-    row = [game.outcome(x, y) for y in game.states.labels]
-    return down_set(game.outcomes, row, mode="bounds")
+    return _labels(game, _floors(game)[game.strategies.index(x)])
 
 
 def alpha(game: DMP) -> AlphaReport:
@@ -201,16 +217,10 @@ def alpha(game: DMP) -> AlphaReport:
     Not induced by any closed submonoid; kept because the anomaly corpus
     is built on it.
     """
-    guaranteed = {x: guaranteed_outcomes(game, x) for x in game.strategies.labels}
-    pairs = [
-        (i, k)
-        for i, x1 in enumerate(game.strategies.labels)
-        for k, x2 in enumerate(game.strategies.labels)
-        if guaranteed[x1] <= guaranteed[x2]
-    ]
-    pref = Preference(
-        game.strategies, BinaryRelation.from_index_pairs(game.strategies, pairs)
-    )
+    floors = _floors(game)
+    rows = [sum(1 << k for k, v in enumerate(floors) if u & ~v == 0) for u in floors]
+    pref = Preference(game.strategies, BinaryRelation.from_rows(game.strategies, rows))
+    guaranteed = {x: _labels(game, u) for x, u in zip(game.strategies.labels, floors)}
     return AlphaReport(guaranteed, pref, pref.greatest())
 
 
@@ -224,34 +234,27 @@ class CharacteristicSets:
 def characteristic_sets(game: DMP) -> CharacteristicSets:
     """Lower set: union of guaranteed sets.  Upper set: intersection over
     states of the outcomes beaten by some strategy there."""
-    lower: frozenset[str] = frozenset()
-    for x in game.strategies.labels:
-        lower |= guaranteed_outcomes(game, x)
-    upper = frozenset(game.outcomes.ground.labels)
-    for y in game.states.labels:
-        column = [game.outcome(x, y) for x in game.strategies.labels]
-        upper &= down_set(game.outcomes, column, mode="union")
-    if not lower <= upper:
+    below = game.outcomes.leq.inverse().rows
+    lower = reduce(or_, _floors(game))
+    upper = (1 << game.outcomes.ground.size) - 1
+    for column in zip(*game.table):
+        upper &= reduce(or_, (below[a] for a in column))
+    if lower & ~upper:
         raise RuntimeError("lower characteristic set is not inside the upper one")
-    return CharacteristicSets(lower, upper, lower == upper)
+    return CharacteristicSets(_labels(game, lower), _labels(game, upper), lower == upper)
 
 
 def saddle_points(game: DMP) -> tuple[tuple[str, str], ...]:
     """Situations (x0, y0) with F(x, y0) <= F(x0, y0) <= F(x0, y) for all x, y."""
-    leq = game.outcomes
-    out = []
-    for x0 in game.strategies.labels:
-        for y0 in game.states.labels:
-            pivot = game.outcome(x0, y0)
-            col_ok = all(
-                leq.le(game.outcome(x, y0), pivot) for x in game.strategies.labels
-            )
-            row_ok = all(
-                leq.le(pivot, game.outcome(x0, y)) for y in game.states.labels
-            )
-            if col_ok and row_ok:
-                out.append((x0, y0))
-    return tuple(out)
+    above = game.outcomes.leq.rows
+    states = game.states.labels
+    return tuple(
+        (x0, states[j])
+        for x0, row in zip(game.strategies.labels, game.table)
+        for j, pivot in enumerate(row)
+        if all(above[other[j]] >> pivot & 1 for other in game.table)
+        and all(above[pivot] >> a & 1 for a in row)
+    )
 
 
 def dualize(game: DMP) -> DMP:
@@ -282,23 +285,18 @@ class Morphism:
             raise MorphismError("outcome map must be total on the source outcomes")
         a_labels = src.outcomes.ground.labels
         b_labels = tgt.outcomes.ground.labels
-        for i, a1 in enumerate(a_labels):
-            for j, a2 in enumerate(a_labels):
-                if src.outcomes.leq.holds_index(i, j) and not tgt.outcomes.leq.holds_index(
-                    self.outcome_map[i], self.outcome_map[j]
-                ):
-                    raise MorphismError(
-                        f"map is not isotone: {a1} <= {a2} but "
-                        f"{b_labels[self.outcome_map[i]]} !<= {b_labels[self.outcome_map[j]]}"
-                    )
+        above = tgt.outcomes.leq.rows
+        image = self.outcome_map
+        for i, j in src.outcomes.leq.index_pairs():
+            if not above[image[i]] >> image[j] & 1:
+                raise MorphismError(
+                    f"map is not isotone: {a_labels[i]} <= {a_labels[j]} but "
+                    f"{b_labels[image[i]]} !<= {b_labels[image[j]]}"
+                )
         for i in range(src.strategies.size):
             for j in range(src.states.size):
                 if tgt.table[i][j] != self.outcome_map[src.table[i][j]]:
                     raise MorphismError("target table is not the image of the source table")
-
-    def apply(self, outcome_label: str) -> str:
-        i = self.source.outcomes.ground.index(outcome_label)
-        return self.target.outcomes.ground.labels[self.outcome_map[i]]
 
 
 def apply_morphism(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .dmp import DMP, Preference, derive
+from .dmp import DMP, Preference, _state_preferences
 from .monoids import NAMED_MONOIDS, ClosedMonoid, atom_monoid, closure, reflexive_monoid
 from .orders import OutcomeMap, PartialOrder
 from .relations import (
@@ -161,17 +161,17 @@ def preference_census(
     game: DMP, lattice: MonoidLattice
 ) -> list[tuple[Preference, tuple[int, ...]]]:
     """Distinct derived preferences over the lattice elements, each with the
-    sorted indices of the monoids inducing it."""
+    sorted indices of the monoids inducing it.  Each pair's state
+    preference is built once and tested against every element."""
     if lattice.ground != game.states:
         raise GroundSetMismatchError("lattice must live on the game's state set")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    prefs: dict[tuple[int, ...], Preference] = {}
+    rhos = list(_state_preferences(game))
+    groups: dict[BinaryRelation, list[int]] = {}
     for idx, monoid in enumerate(lattice.elements):
-        pref = derive(game, monoid)
-        groups.setdefault(pref.rel.bits, []).append(idx)
-        prefs.setdefault(pref.rel.bits, pref)
-    ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
-    return [(prefs[bits], tuple(idxs)) for bits, idxs in ordered]
+        pairs = [pair for pair, rho in rhos if monoid.contains(rho)]
+        rel = BinaryRelation.from_index_pairs(game.strategies, pairs)
+        groups.setdefault(rel, []).append(idx)
+    return [(Preference(game.strategies, rel), tuple(idxs)) for rel, idxs in groups.items()]
 
 
 def represent_relation(
@@ -222,15 +222,20 @@ def element_labels(lattice: MonoidLattice) -> list[str]:
     return [names[m] if m in names else m.signature() for m in lattice.elements]
 
 
+def _dot_id(name: str) -> str:
+    """A DOT quoted string holding `name`."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(lattice: MonoidLattice, labels: Sequence[str] | None = None) -> str:
     """Deterministic DOT rendering of the Hasse diagram, edges upward."""
     if labels is None:
         labels = element_labels(lattice)
     lines = ["digraph closed_submonoids {", "  rankdir=BT;"]
     for name in sorted(labels):
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_id(name)};")
     edge_names = sorted((labels[i], labels[j]) for i, j in lattice.hasse_edges)
     for lo, hi in edge_names:
-        lines.append(f'  "{lo}" -> "{hi}";')
+        lines.append(f"  {_dot_id(lo)} -> {_dot_id(hi)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

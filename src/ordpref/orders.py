@@ -10,8 +10,6 @@ the tests compare the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable
 
 from .relations import BinaryRelation, GroundSet
@@ -29,15 +27,17 @@ class PartialOrder:
     def __post_init__(self) -> None:
         if self.leq.ground != self.ground:
             raise OrderValidationError("order relation lives on a different ground set")
-        profile = self.leq.classify()
-        if not profile.reflexive:
+        leq = self.leq
+        if not leq.is_reflexive():
             raise OrderValidationError("order must be reflexive")
-        if not profile.transitive:
+        if not leq.is_transitive():
             raise OrderValidationError("order must be transitive")
-        if not profile.antisymmetric:
-            cycle = _find_symmetric_pair(self.leq)
+        identity = BinaryRelation.identity(self.ground)
+        cycles = leq.intersection(leq.inverse()).difference(identity).pairs()
+        if cycles:
+            u, v = cycles[0]
             raise OrderValidationError(
-                f"order must be antisymmetric; cycle between {cycle[0]!r} and {cycle[1]!r}"
+                f"order must be antisymmetric; cycle between {u!r} and {v!r}"
             )
 
     @classmethod
@@ -52,14 +52,6 @@ class PartialOrder:
 
     def inverse(self) -> "PartialOrder":
         return PartialOrder(self.ground, self.leq.inverse())
-
-
-def _find_symmetric_pair(rel: BinaryRelation) -> tuple[str, str]:
-    sym = rel.intersection(rel.inverse())
-    for u, v in sym.pairs():
-        if u != v:
-            return u, v
-    raise AssertionError("no symmetric pair in an antisymmetric relation")
 
 
 def from_comparabilities(ground: GroundSet, pairs: Iterable[tuple[str, str]]) -> PartialOrder:
@@ -122,19 +114,3 @@ def pullback(phi: OutcomeMap, psi: OutcomeMap, order: PartialOrder) -> BinaryRel
         for a in phi.values
     ]
     return BinaryRelation.from_rows(phi.domain, rows)
-
-
-def down_set(order: PartialOrder, subset: Iterable[str], mode: str = "bounds") -> frozenset[str]:
-    """Elements below `subset`.
-
-    mode="bounds": common lower bounds, {a | a <= s for every s in subset}.
-    mode="union":  union of principal ideals, {a | a <= s for some s}.
-    """
-    idx = [order.ground.index(s) for s in subset]
-    if mode not in ("bounds", "union"):
-        raise ValueError(f"mode must be 'bounds' or 'union', got {mode!r}")
-    targets = reduce(or_, (1 << s for s in idx), 0)
-    rows = zip(order.ground.labels, order.leq.rows)  # row a: the s with a <= s
-    if mode == "bounds":
-        return frozenset(a for a, up in rows if up & targets == targets)
-    return frozenset(a for a, up in rows if up & targets)

@@ -92,6 +92,64 @@ def pareto_pairs(game: DMP, strict: bool = False) -> set[tuple[int, int]]:
     }
 
 
+# -- label-set oracles for alpha, characteristic sets and saddle points ------
+
+
+def common_lower_bounds(order: PartialOrder, subset: list[str]) -> frozenset[str]:
+    """{a | a <= s for every s in subset}."""
+    return frozenset(
+        a for a in order.ground.labels if all(order.le(a, s) for s in subset)
+    )
+
+
+def principal_ideals(order: PartialOrder, subset: list[str]) -> frozenset[str]:
+    """{a | a <= s for some s in subset}: the union of the principal ideals."""
+    return frozenset(
+        a for a in order.ground.labels if any(order.le(a, s) for s in subset)
+    )
+
+
+def guaranteed_reference(game: DMP, x: str) -> frozenset[str]:
+    """Common lower bounds of the outcomes of x's table row."""
+    row = [game.outcome(x, y) for y in game.states.labels]
+    return common_lower_bounds(game.outcomes, row)
+
+
+def alpha_reference(
+    game: DMP,
+) -> tuple[dict[str, frozenset[str]], set[tuple[str, str]], tuple[str, ...]]:
+    """Guaranteed sets, the alpha pairs (x1, x2) with the guaranteed set of x1
+    inside that of x2, and the strategies every strategy is paired with."""
+    xs = game.strategies.labels
+    guaranteed = {x: guaranteed_reference(game, x) for x in xs}
+    pairs = {(x1, x2) for x1 in xs for x2 in xs if guaranteed[x1] <= guaranteed[x2]}
+    greatest = tuple(x for x in xs if all((other, x) in pairs for other in xs))
+    return guaranteed, pairs, greatest
+
+
+def characteristic_reference(game: DMP) -> tuple[frozenset[str], frozenset[str]]:
+    """Lower set: union of the guaranteed sets.  Upper set: intersection over
+    states of the principal ideals of the column's outcomes."""
+    xs = game.strategies.labels
+    lower = frozenset().union(*(guaranteed_reference(game, x) for x in xs))
+    upper = frozenset(game.outcomes.ground.labels)
+    for y in game.states.labels:
+        upper &= principal_ideals(game.outcomes, [game.outcome(x, y) for x in xs])
+    return lower, upper
+
+
+def saddle_reference(game: DMP) -> tuple[tuple[str, str], ...]:
+    """(x0, y0) with F(x, y0) <= F(x0, y0) <= F(x0, y) for all x, y."""
+    xs, ys, order = game.strategies.labels, game.states.labels, game.outcomes
+    return tuple(
+        (x0, y0)
+        for x0 in xs
+        for y0 in ys
+        if all(order.le(game.outcome(x, y0), game.outcome(x0, y0)) for x in xs)
+        and all(order.le(game.outcome(x0, y0), game.outcome(x0, y)) for y in ys)
+    )
+
+
 # -- reference implementations moved out of the package -----------------------
 
 

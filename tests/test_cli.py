@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from ordpref.monoids import (
     total_monoid,
     universal_monoid,
 )
-from ordpref.relations import BinaryRelation
+from ordpref.relations import BinaryRelation, GroundSet
 from ordpref.textio import (
     DmpParseError,
     parse_dmp,
@@ -312,6 +313,25 @@ class TestMainCommands:
         out = capsys.readouterr().out
         assert "distinct derived preferences" in out
         assert dot_path.read_text().startswith("digraph closed_submonoids {")
+
+    def test_lattice_dot_escapes_names(self, tmp_path):
+        game_path = tmp_path / "q.dmp"
+        game_path.write_text(
+            "outcomes: 0 1\norder: 0<1\nstrategies: x1 x2\n"
+            'states: y"1 y\\2\nrow x1: 0 1\nrow x2: 1 0\n'
+        )
+        dot_path = tmp_path / "q.dot"
+        assert main(["lattice", "--dmp", str(game_path), "--dot", str(dot_path)]) == 0
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        names = set()
+        for line in dot_path.read_text().splitlines()[2:-1]:
+            match = re.fullmatch(rf"  {quoted}(?: -> {quoted})?;", line)
+            assert match, line
+            names |= {re.sub(r"\\(.)", r"\1", q) for q in match.groups() if q is not None}
+        states = GroundSet(('y"1', "y\\2"))
+        labels = lattice.element_labels(lattice.enumerate_exhaustive(states))
+        assert names == set(labels)
+        assert {'dictator:y"1', "dictator:y\\2"} <= names
 
     def test_lattice_generated(self, capsys):
         assert main(["lattice", "--states", "2", "--generated", "--max-gens", "1"]) == 0

@@ -4,11 +4,16 @@ import random
 import pytest
 
 from common import (
+    alpha_reference,
     beta_both_explicit,
     beta_explicit,
+    characteristic_reference,
     dual_beta_explicit,
     ground,
+    guaranteed_reference,
     random_dmp,
+    random_partial_order,
+    saddle_reference,
 )
 
 from ordpref import dmp, fixtures
@@ -23,6 +28,7 @@ from ordpref.dmp import (
     check_regularity,
     derive,
     dualize,
+    guaranteed_outcomes,
     is_suitable,
     pareto,
     saddle_points,
@@ -201,8 +207,10 @@ class TestAlphaAndValue:
     def test_broken_invariant_raises(self, monkeypatch):
         # Not reachable on a valid game; forcing it shows the check is a
         # real raise, which `python -O` does not strip.
-        everything = frozenset(fixtures.five_lattice().ground.labels)
-        monkeypatch.setattr(dmp, "guaranteed_outcomes", lambda game, x: everything)
+        everything = (1 << fixtures.five_lattice().ground.size) - 1
+        monkeypatch.setattr(
+            dmp, "_floors", lambda game: [everything] * game.strategies.size
+        )
         with pytest.raises(RuntimeError, match="lower characteristic set"):
             characteristic_sets(fixtures.example1())
 
@@ -211,6 +219,19 @@ class TestAlphaAndValue:
         cs = characteristic_sets(g)
         assert cs.has_generalized_value
         assert cs.lower == {"0", "b"}
+
+    def test_guaranteed_are_common_lower_bounds(self):
+        # row x1 of example 1 is (b, c, 0) in the five-element lattice
+        assert guaranteed_outcomes(fixtures.example1(), "x1") == {"0"}
+
+    def test_guaranteed_below_top_is_everything(self):
+        g = DMP(GroundSet(("x1",)), ground(2), fixtures.five_lattice(), ((4, 4),))
+        assert guaranteed_outcomes(g, "x1") == {"0", "a", "b", "c", "1"}
+
+    def test_upper_set_is_union_of_principal_ideals(self):
+        # one state whose column is (b, 0): the outcomes below b or below 0
+        g = DMP(GroundSet(("x1", "x2")), ground(1), fixtures.five_lattice(), ((2,), (0,)))
+        assert characteristic_sets(g).upper == {"0", "b"}
 
 
 class TestSaddlePoints:
@@ -226,6 +247,62 @@ class TestSaddlePoints:
         order = from_comparabilities(A, [("0", "1")])
         g = DMP(GroundSet(("x1", "x2")), ground(2), order, ((1, 1), (0, 0)))
         assert saddle_points(g) == (("x1", "y1"), ("x1", "y2"))
+
+
+def alpha_games():
+    """Seeded random games (1-6 strategies, 1-5 states, 1-10 outcomes), every
+    fixture and the image of example 2, each also dualized."""
+    rng = random.Random(71)
+    games = [
+        random_dmp(rng, nx=rng.randint(1, 6), ny=rng.randint(1, 5), na=rng.randint(1, 10))
+        for _ in range(200)
+    ]
+    games += [
+        fixtures.example1(),
+        fixtures.example2(),
+        fixtures.example3(),
+        fixtures.example4(),
+        fixtures.example4_extended(),
+        apply_morphism(fixtures.example2(), *fixtures.example2_morphism())[1],
+    ]
+    return games + [dualize(g) for g in games]
+
+
+class TestAgainstLabelSets:
+    """Alpha, characteristic sets and saddle points read the order's bit
+    rows; the references in `common` compute them on label sets."""
+
+    @pytest.fixture(scope="class")
+    def games(self):
+        return alpha_games()
+
+    def test_guaranteed_outcomes(self, games):
+        for g in games:
+            for x in g.strategies.labels:
+                assert guaranteed_outcomes(g, x) == guaranteed_reference(g, x)
+
+    def test_alpha(self, games):
+        for g in games:
+            guaranteed, pairs, greatest = alpha_reference(g)
+            report = alpha(g)
+            assert report.guaranteed == guaranteed
+            assert set(report.preference.rel.pairs()) == pairs
+            assert report.greatest == greatest
+
+    def test_characteristic_sets(self, games):
+        for g in games:
+            lower, upper = characteristic_reference(g)
+            assert characteristic_sets(g) == dmp.CharacteristicSets(
+                lower, upper, lower == upper
+            )
+
+    def test_saddle_points(self, games):
+        found = 0
+        for g in games:
+            points = saddle_points(g)
+            assert points == saddle_reference(g)
+            found += len(points)
+        assert found  # the corpus is not vacuous
 
 
 class TestDualize:
@@ -275,6 +352,38 @@ class TestMorphisms:
         mapping = {"0": "hi", "a": "lo", "b": "lo", "c": "lo", "1": "lo"}
         with pytest.raises(MorphismError, match="isotone"):
             apply_morphism(g, mapping, chain)
+
+    def test_first_isotony_violation_is_reported(self):
+        # pairs are checked in row order of the source order, so the first
+        # one the map breaks is 0 <= a
+        g = fixtures.example1()
+        chain = from_comparabilities(GroundSet(("lo", "hi")), [("lo", "hi")])
+        mapping = {"0": "hi", "a": "lo", "b": "lo", "c": "lo", "1": "lo"}
+        with pytest.raises(MorphismError) as exc:
+            apply_morphism(g, mapping, chain)
+        assert str(exc.value) == "map is not isotone: 0 <= a but hi !<= lo"
+
+    def test_isotony_check_matches_all_pairs_scan(self):
+        rng = random.Random(37)
+        for _ in range(150):
+            g = random_dmp(rng, nx=2, ny=2, na=rng.randint(1, 6))
+            target = random_partial_order(
+                rng, GroundSet(tuple(f"b{i}" for i in range(rng.randint(1, 5))))
+            )
+            mapping = {a: rng.choice(target.ground.labels) for a in g.outcomes.ground.labels}
+            labels = g.outcomes.ground.labels
+            broken = [
+                f"map is not isotone: {u} <= {v} but {mapping[u]} !<= {mapping[v]}"
+                for u in labels
+                for v in labels
+                if g.outcomes.le(u, v) and not target.le(mapping[u], mapping[v])
+            ]
+            if broken:
+                with pytest.raises(MorphismError) as exc:
+                    apply_morphism(g, mapping, target)
+                assert str(exc.value) == broken[0]
+            else:
+                apply_morphism(g, mapping, target)
 
     def test_functoriality_randomized(self):
         rng = random.Random(31)
@@ -400,3 +509,22 @@ class TestPreference:
         pref = Preference(X, rel)
         assert pref.greatest() == ("x1",)
         assert pref.maximal() == ("x1",)
+
+    def test_maximal_and_greatest_match_the_transpose(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            X = GroundSet(tuple(f"x{i + 1}" for i in range(n)))
+            pairs = [(i, i) for i in range(n)]
+            pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            rel = BinaryRelation.from_index_pairs(X, pairs).transitive_closure()
+            pref = Preference(X, rel)
+            strict = rel.difference(rel.inverse())
+            full = (1 << n) - 1
+            maximal = tuple(x for x, row in zip(X.labels, strict.rows) if not row)
+            greatest = tuple(x for x, col in zip(X.labels, rel.inverse().rows) if col == full)
+            assert pref.maximal() == maximal
+            assert pref.greatest() == greatest
+            seen.add((len(maximal) > 1, bool(greatest)))
+        assert len(seen) >= 3  # several maximal, a greatest one, and neither

@@ -20,7 +20,6 @@ from ordpref.orders import (
     OrderValidationError,
     OutcomeMap,
     PartialOrder,
-    down_set,
     from_comparabilities,
     pullback,
     strict_part,
@@ -50,6 +49,61 @@ class TestFromComparabilities:
     def test_cycle_is_rejected(self):
         with pytest.raises(OrderValidationError, match="antisymmetric"):
             from_comparabilities(AB, [("a", "b"), ("b", "a")])
+
+
+def validation_message(rel: BinaryRelation) -> str | None:
+    """The error PartialOrder must raise on `rel`, from its profile and the
+    first symmetric off-diagonal pair in row order; None for an order."""
+    profile = rel.classify()
+    if not profile.reflexive:
+        return "order must be reflexive"
+    if not profile.transitive:
+        return "order must be transitive"
+    for u, v in rel.pairs():
+        if u != v and rel.holds(v, u):
+            return f"order must be antisymmetric; cycle between {u!r} and {v!r}"
+    return None
+
+
+class TestValidation:
+    def test_messages(self):
+        abc = GroundSet(("a", "b", "c"))
+        cases = [
+            (BinaryRelation.empty(AB), "order must be reflexive"),
+            (
+                BinaryRelation.from_pairs(
+                    abc, [(x, x) for x in abc.labels] + [("a", "b"), ("b", "c")]
+                ),
+                "order must be transitive",
+            ),
+            (
+                BinaryRelation.full(abc),
+                "order must be antisymmetric; cycle between 'a' and 'b'",
+            ),
+        ]
+        for rel, message in cases:
+            with pytest.raises(OrderValidationError) as exc:
+                PartialOrder(rel.ground, rel)
+            assert str(exc.value) == message
+
+    def test_every_relation_on_three_elements(self):
+        # one pass over all 512 relations, plus random ones on four
+        rng = random.Random(5)
+        g4 = ground(4)
+        rels = list(all_relations(ground(3)))
+        rels += [BinaryRelation(g4, rng.getrandbits(16)) for _ in range(300)]
+        rels += [random_partial_order(rng, g4).leq for _ in range(50)]
+        rels += [
+            BinaryRelation.from_index_pairs(g4, [(i, i) for i in range(4)] + [(0, 2), (2, 0)])
+        ]
+        for rel in rels:
+            message = validation_message(rel)
+            if message is None:
+                assert PartialOrder(rel.ground, rel).leq == rel
+            else:
+                with pytest.raises(OrderValidationError) as exc:
+                    PartialOrder(rel.ground, rel)
+                assert str(exc.value) == message
 
 
 class TestStrictPart:
@@ -173,21 +227,6 @@ class TestProductOrder:
             left = random_partial_order(rng, GroundSet(("a", "b", "c")))
             right = random_partial_order(rng, Y2)
             product_order(left, right)
-
-
-class TestDownSet:
-    def test_lower_bounds_in_five_lattice(self):
-        assert down_set(five_lattice(), {"b", "c", "0"}, mode="bounds") == {"0"}
-
-    def test_lower_bounds_of_top(self):
-        assert down_set(five_lattice(), {"1"}, mode="bounds") == {"0", "a", "b", "c", "1"}
-
-    def test_union_mode(self):
-        assert down_set(five_lattice(), {"b", "0"}, mode="union") == {"0", "b"}
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            down_set(five_lattice(), {"0"}, mode="either")
 
 
 class TestChains:
