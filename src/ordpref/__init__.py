@@ -14,7 +14,6 @@ from .orders import (
     PartialOrder,
     from_comparabilities,
     pullback,
-    strict_part,
 )
 from .monoids import (
     ClosedMonoid,
@@ -26,8 +25,6 @@ from .monoids import (
     dictator_monoid,
     filter_monoid,
     idempotent_monoid,
-    join,
-    meet,
     minimize,
     reflexive_monoid,
     surjective_monoid,
@@ -43,7 +40,6 @@ from .dmp import (
     apply_morphism,
     characteristic_sets,
     check_functoriality,
-    check_regularity,
     derive,
     dualize,
     is_suitable,
@@ -54,10 +50,8 @@ from .dmp import (
 )
 from .lattice import (
     MonoidLattice,
-    atoms,
     enumerate_exhaustive,
     enumerate_generated,
     export_dot,
     preference_census,
-    represent_relation,
 )

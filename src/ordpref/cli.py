@@ -54,9 +54,14 @@ _SPEC_ALIASES = {"reflexive": "pareto", "surjective": "beta", "total": "dual-bet
 
 def parse_monoid_spec(spec: str, states: GroundSet) -> ClosedMonoid:
     """Monoid by name (NAMED_MONOIDS, NAME=Y for a per-state one),
-    filter=Y1,Y2, or a relation file: idempotent=FILE or gens=FILE."""
-    name, _, arg = spec.partition("=")
+    filter=Y1,Y2, or a relation file: idempotent=FILE or gens=FILE.  A name
+    is known only in the form the "known:" list shows, with "=" exactly when
+    it takes an argument."""
+    name, eq, arg = spec.partition("=")
     name = _SPEC_ALIASES.get(name, name)
+    takes_arg = NAMED_MONOIDS[name][1] if name in NAMED_MONOIDS else True
+    if bool(eq) != takes_arg:
+        raise _unknown_spec(spec)
     try:
         if name in NAMED_MONOIDS:
             build, per_state = NAMED_MONOIDS[name]
@@ -74,8 +79,12 @@ def parse_monoid_spec(spec: str, states: GroundSet) -> ClosedMonoid:
         raise InputError(f"monoid spec {spec!r}: {exc.args[0]}") from None
     except ValueError as exc:
         raise InputError(f"monoid spec {spec!r}: {exc}") from None
+    raise _unknown_spec(spec)
+
+
+def _unknown_spec(spec: str) -> InputError:
     known = [key + "=Y" * per_state for key, (_, per_state) in NAMED_MONOIDS.items()]
-    raise InputError(
+    return InputError(
         f"unknown monoid spec {spec!r}; known: {', '.join(known)}, "
         "filter=Y1,Y2, idempotent=FILE, gens=FILE"
     )
@@ -183,6 +192,10 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     if n < 1:
         raise InputError(f"--states must be at least 1, got {n}")
     if args.generated:
+        if args.dot:
+            raise InputError(
+                "--dot draws the two-state lattice and cannot be used with --generated"
+            )
         if args.max_gens < 0:
             raise InputError(f"--max-gens must be at least 0, got {args.max_gens}")
         try:

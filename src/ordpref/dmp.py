@@ -62,11 +62,6 @@ class DMP:
         )
         return cls(strategies, states, outcomes, table)
 
-    def outcome(self, x: str, y: str) -> str:
-        i = self.strategies.index(x)
-        j = self.states.index(y)
-        return self.outcomes.ground.labels[self.table[i][j]]
-
     def f_star(self, x: str) -> OutcomeMap:
         i = self.strategies.index(x)
         return OutcomeMap(self.states, self.outcomes.ground, self.table[i])
@@ -157,7 +152,7 @@ def state_preference(game: DMP, x1: str, x2: str) -> BinaryRelation:
 
     Row y1 is the set of states where x2 reaches at least F(x1, y1), read
     off the game's up-masks (each below 2^n by construction, so they are
-    packed without a per-row check); derive and the regularity check build
+    packed without a per-row check); derive and the lattice census build
     every state-preference here.
     """
     up = game._up[game.strategies.index(x2)]
@@ -204,11 +199,6 @@ def _floors(game: DMP) -> list[int]:
 def _labels(game: DMP, mask: int) -> frozenset[str]:
     """The labels of the outcomes in an outcome mask."""
     return frozenset(a for i, a in enumerate(game.outcomes.ground.labels) if mask >> i & 1)
-
-
-def guaranteed_outcomes(game: DMP, x: str) -> frozenset[str]:
-    """Outcomes guaranteed by a strategy: lower bounds of its table row."""
-    return _labels(game, _floors(game)[game.strategies.index(x)])
 
 
 def alpha(game: DMP) -> AlphaReport:
@@ -267,7 +257,7 @@ def dualize(game: DMP) -> DMP:
     return DMP(game.states, game.strategies, game.outcomes.inverse(), table)
 
 
-# -- morphisms and the functor/regularity checks ------------------------------
+# -- morphisms and the functor/suitability checks -----------------------------
 
 
 @dataclass(frozen=True)
@@ -325,31 +315,6 @@ def check_functoriality(
     tgt_pref = derive(morphism.target, monoid)
     lost = src_pref.rel.difference(tgt_pref.rel).pairs()
     return (False, lost[0]) if lost else (True, None)
-
-
-@dataclass(frozen=True)
-class RegularityResult:
-    premise_holds: bool
-    holds: bool
-
-
-def check_regularity(
-    game1: DMP,
-    game2: DMP,
-    pair1: tuple[str, str],
-    pair2: tuple[str, str],
-    monoid: ClosedMonoid,
-) -> RegularityResult:
-    """If the two pairs share a state-preference relation, their derived
-    memberships must agree.  When the premise fails the implication is
-    vacuous; the flag makes that visible instead of silently passing."""
-    rho1 = state_preference(game1, *pair1)
-    rho2 = state_preference(game2, *pair2)
-    if rho1 != rho2:
-        return RegularityResult(premise_holds=False, holds=True)
-    in1 = derive(game1, monoid).holds(*pair1)
-    in2 = derive(game2, monoid).holds(*pair2)
-    return RegularityResult(premise_holds=True, holds=in1 == in2)
 
 
 def is_suitable(game: DMP, pref: Preference) -> tuple[bool, tuple[str, str] | None]:

@@ -16,8 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .dmp import DMP, Preference, _state_preferences
-from .monoids import NAMED_MONOIDS, ClosedMonoid, atom_monoid, closure, reflexive_monoid
-from .orders import OutcomeMap, PartialOrder
+from .monoids import NAMED_MONOIDS, ClosedMonoid, closure, reflexive_monoid
 from .relations import (
     BinaryRelation,
     GroundSet,
@@ -150,13 +149,6 @@ def enumerate_generated(ground: GroundSet, max_generators: int = 1) -> list[Clos
     )
 
 
-def atoms(ground: GroundSet) -> list[ClosedMonoid]:
-    """The minimal nontrivial closed submonoids, one per state."""
-    if ground.size < 2:
-        raise ValueError("atoms require at least two states")
-    return [atom_monoid(ground, y) for y in ground.labels]
-
-
 def preference_census(
     game: DMP, lattice: MonoidLattice
 ) -> list[tuple[Preference, tuple[int, ...]]]:
@@ -172,32 +164,6 @@ def preference_census(
         rel = BinaryRelation.from_index_pairs(game.strategies, pairs)
         groups.setdefault(rel, []).append(idx)
     return [(Preference(game.strategies, rel), tuple(idxs)) for rel, idxs in groups.items()]
-
-
-def represent_relation(
-    sigma: BinaryRelation,
-) -> tuple[PartialOrder, OutcomeMap, OutcomeMap]:
-    """Realize any relation on states as a pullback through a partial order.
-
-    Two disjoint copies of the state set are ordered so that the only
-    cross-copy comparabilities mirror `sigma`; the identification maps into
-    the copies pull the order back to exactly `sigma`.
-    """
-    states = sigma.ground
-    n = states.size
-    labels = tuple(f"{y}.1" for y in states.labels) + tuple(
-        f"{y}.2" for y in states.labels
-    )
-    outcome_set = GroundSet(labels)
-    pairs = [(i, i) for i in range(2 * n)]
-    for i, j in sigma.index_pairs():
-        pairs.append((i, n + j))
-    order = PartialOrder(
-        outcome_set, BinaryRelation.from_index_pairs(outcome_set, pairs)
-    )
-    phi = OutcomeMap(states, outcome_set, tuple(range(n)))
-    psi = OutcomeMap(states, outcome_set, tuple(range(n, 2 * n)))
-    return order, phi, psi
 
 
 def canonical_names(ground: GroundSet) -> list[tuple[str, ClosedMonoid]]:

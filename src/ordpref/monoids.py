@@ -160,23 +160,6 @@ class ClosedMonoid:
     def __hash__(self) -> int:
         return hash((self.ground, self.min_antichain))
 
-    def includes(self, other: "ClosedMonoid") -> bool:
-        """Monoid inclusion: every member of `other` is a member of self."""
-        return all(self.contains(m) for m in other.min_antichain)
-
-    def dual(self) -> "ClosedMonoid":
-        return ClosedMonoid.from_antichain(
-            self.ground, (m.inverse() for m in self.min_antichain)
-        )
-
-    def is_self_dual(self) -> bool:
-        return self == self.dual()
-
-    def all_have_fixed_point(self) -> bool:
-        # Fixed points persist upward under inclusion, so checking the
-        # minimal members decides the whole up-set.
-        return all(m.has_fixed_point() for m in self.min_antichain)
-
     def signature(self) -> str:
         return "|".join(str(m) for m in self.min_antichain)
 
@@ -343,22 +326,4 @@ NAMED_MONOIDS: dict[str, tuple[Callable[..., ClosedMonoid], bool]] = {
     "beta-both": (beta_both_monoid, False),
     "atom": (atom_monoid, True),
 }
-
-
-# -- lattice operations ------------------------------------------------------
-
-
-def meet(a: ClosedMonoid, b: ClosedMonoid) -> ClosedMonoid:
-    """Intersection of the two membership sets."""
-    if a.ground != b.ground:
-        raise GroundSetMismatchError("monoids on different ground sets")
-    unions = [x.union(y) for x in a.min_antichain for y in b.min_antichain]
-    return ClosedMonoid.from_antichain(a.ground, unions)
-
-
-def join(a: ClosedMonoid, b: ClosedMonoid) -> ClosedMonoid:
-    """Least closed submonoid containing both."""
-    if a.ground != b.ground:
-        raise GroundSetMismatchError("monoids on different ground sets")
-    return closure(a.ground, a.min_antichain + b.min_antichain)
 

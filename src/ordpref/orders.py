@@ -40,16 +40,6 @@ class PartialOrder:
                 f"order must be antisymmetric; cycle between {u!r} and {v!r}"
             )
 
-    @classmethod
-    def trivial(cls, ground: GroundSet) -> "PartialOrder":
-        return cls(ground, BinaryRelation.identity(ground))
-
-    def le(self, u: str, v: str) -> bool:
-        return self.leq.holds(u, v)
-
-    def lt(self, u: str, v: str) -> bool:
-        return u != v and self.leq.holds(u, v)
-
     def inverse(self) -> "PartialOrder":
         return PartialOrder(self.ground, self.leq.inverse())
 
@@ -63,10 +53,6 @@ def from_comparabilities(ground: GroundSet, pairs: Iterable[tuple[str, str]]) ->
     base = BinaryRelation.from_pairs(ground, pairs)
     leq = base.union(BinaryRelation.identity(ground)).transitive_closure()
     return PartialOrder(ground, leq)
-
-
-def strict_part(order: PartialOrder) -> BinaryRelation:
-    return order.leq.difference(BinaryRelation.identity(order.ground))
 
 
 @dataclass(frozen=True)
@@ -86,16 +72,6 @@ class OutcomeMap:
         for v in self.values:
             if not 0 <= v < self.codomain.size:
                 raise ValueError(f"value index {v} out of range for codomain")
-
-    @classmethod
-    def from_labels(cls, domain: GroundSet, codomain: GroundSet, labels: Iterable[str]) -> "OutcomeMap":
-        return cls(domain, codomain, tuple(codomain.index(lab) for lab in labels))
-
-    def apply(self, label: str) -> str:
-        return self.codomain.labels[self.values[self.domain.index(label)]]
-
-    def image_labels(self) -> tuple[str, ...]:
-        return tuple(self.codomain.labels[v] for v in self.values)
 
 
 def _check_shapes(phi: OutcomeMap, psi: OutcomeMap, order: PartialOrder) -> None:

@@ -125,10 +125,6 @@ class BinaryRelation:
         return cls(ground, pack_rows(rows, n))
 
     @classmethod
-    def empty(cls, ground: GroundSet) -> "BinaryRelation":
-        return cls(ground, 0)
-
-    @classmethod
     def identity(cls, ground: GroundSet) -> "BinaryRelation":
         n = ground.size
         return cls(ground, sum(1 << (n + 1) * i for i in range(n)))
@@ -175,9 +171,6 @@ class BinaryRelation:
         labs = self.ground.labels
         return tuple((labs[i], labs[j]) for i, j in self.index_pairs())
 
-    def count(self) -> int:
-        return self.bits.bit_count()
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"({u},{v})" for u, v in self.pairs()) + "}"
 
@@ -206,25 +199,7 @@ class BinaryRelation:
                 rows[j] |= 1 << i
         return BinaryRelation.from_rows(self.ground, rows)
 
-    # -- projections and predicates ----------------------------------------
-
-    def pr1(self) -> frozenset[str]:
-        labs = self.ground.labels
-        return frozenset(labs[i] for i, r in enumerate(self.rows) if r)
-
-    def pr2(self) -> frozenset[str]:
-        labs = self.ground.labels
-        return frozenset(labs[j] for j in _members(reduce(or_, self.rows)))
-
-    def pr_diag(self) -> frozenset[str]:
-        labs = self.ground.labels
-        return frozenset(labs[i] for i, r in enumerate(self.rows) if r >> i & 1)
-
-    def projections(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-        return self.pr1(), self.pr2(), self.pr_diag()
-
-    def has_fixed_point(self) -> bool:
-        return self.bits & BinaryRelation.identity(self.ground).bits != 0
+    # -- predicates --------------------------------------------------------
 
     def is_reflexive(self) -> bool:
         return BinaryRelation.identity(self.ground).is_subset(self)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .dmp import DMP, Preference
-from .orders import OrderValidationError, PartialOrder, from_comparabilities, strict_part
+from .orders import OrderValidationError, PartialOrder, from_comparabilities
 from .relations import BinaryRelation, GroundSet
 
 
@@ -128,19 +128,6 @@ def parse_dmp(text: str) -> DMP:
         if strategy not in strategies:
             raise DmpParseError(f"row for undeclared strategy {strategy!r}", lineno)
     return DMP.from_labels(strategies, states, order, table_rows)
-
-
-def render_dmp(game: DMP) -> str:
-    lines = [
-        "outcomes: " + " ".join(game.outcomes.ground.labels),
-        "order: " + " ".join(f"{u}<{v}" for u, v in strict_part(game.outcomes).pairs()),
-        "strategies: " + " ".join(game.strategies.labels),
-        "states: " + " ".join(game.states.labels),
-    ]
-    for x in game.strategies.labels:
-        row = " ".join(game.outcome(x, y) for y in game.states.labels)
-        lines.append(f"row {x}: {row}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_relations(text: str, states: GroundSet) -> list[BinaryRelation]:

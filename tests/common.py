@@ -1,18 +1,27 @@
-"""Shared generators and brute-force oracles for the test suite."""
+"""Shared generators and brute-force oracles for the test suite, and the
+label-level and monoid-lattice operations that only the tests call."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable
 
 from hypothesis import strategies as st
 
-from ordpref.dmp import DMP, Preference
-from ordpref.monoids import minimize
-from ordpref.orders import OutcomeMap, PartialOrder, strict_part
-from ordpref.relations import BinaryRelation, GroundSet, all_relations, compose
+from ordpref.dmp import DMP, Preference, derive, state_preference
+from ordpref.monoids import ClosedMonoid, closure, minimize
+from ordpref.orders import OutcomeMap, PartialOrder
+from ordpref.relations import (
+    BinaryRelation,
+    GroundSet,
+    GroundSetMismatchError,
+    all_relations,
+    compose,
+)
 
 
 def ground(n: int) -> GroundSet:
@@ -26,6 +35,20 @@ def relation_strategy(g: GroundSet):
 
 def relations_on(sizes=(1, 2, 3)):
     return st.sampled_from([ground(n) for n in sizes]).flatmap(relation_strategy)
+
+
+def render_dmp(game: DMP) -> str:
+    """Game file text that `parse_dmp` reads back to `game`."""
+    lines = [
+        "outcomes: " + " ".join(game.outcomes.ground.labels),
+        "order: " + " ".join(f"{u}<{v}" for u, v in strict_part(game.outcomes).pairs()),
+        "strategies: " + " ".join(game.strategies.labels),
+        "states: " + " ".join(game.states.labels),
+    ]
+    for x in game.strategies.labels:
+        row = " ".join(outcome(game, x, y) for y in game.states.labels)
+        lines.append(f"row {x}: {row}")
+    return "\n".join(lines) + "\n"
 
 
 def render_morphism(mapping: dict[str, str], target: PartialOrder) -> str:
@@ -58,6 +81,149 @@ def random_dmp(rng: random.Random, nx: int = 2, ny: int = 2, na: int = 3) -> DMP
     outcomes = random_partial_order(rng, GroundSet(tuple(f"a{i}" for i in range(na))))
     table = tuple(tuple(rng.randrange(na) for _ in range(ny)) for _ in range(nx))
     return DMP(strategies, states, outcomes, table)
+
+
+# -- label-level operations on orders, games and relations -------------------
+
+
+def outcome(game: DMP, x: str, y: str) -> str:
+    """The label of the outcome F(x, y)."""
+    return game.outcomes.ground.labels[
+        game.table[game.strategies.index(x)][game.states.index(y)]
+    ]
+
+
+def le(order: PartialOrder, u: str, v: str) -> bool:
+    return order.leq.holds(u, v)
+
+
+def trivial_order(g: GroundSet) -> PartialOrder:
+    """The discrete order: every element comparable only with itself."""
+    return PartialOrder(g, BinaryRelation.identity(g))
+
+
+def strict_part(order: PartialOrder) -> BinaryRelation:
+    return order.leq.difference(BinaryRelation.identity(order.ground))
+
+
+def outcome_map(domain: GroundSet, codomain: GroundSet, labels: Iterable[str]) -> OutcomeMap:
+    """The map sending the i-th element of `domain` to the i-th label."""
+    return OutcomeMap(domain, codomain, tuple(codomain.index(lab) for lab in labels))
+
+
+def pr1(rel: BinaryRelation) -> frozenset[str]:
+    """The first projection: elements with a non-empty row."""
+    labs = rel.ground.labels
+    return frozenset(labs[i] for i, r in enumerate(rel.rows) if r)
+
+
+def pr2(rel: BinaryRelation) -> frozenset[str]:
+    """The second projection: elements with a non-empty column."""
+    labs = rel.ground.labels
+    columns = reduce(or_, rel.rows)
+    return frozenset(labs[j] for j in range(rel.ground.size) if columns >> j & 1)
+
+
+def pr_diag(rel: BinaryRelation) -> frozenset[str]:
+    """The diagonal projection: the fixed points of the relation."""
+    labs = rel.ground.labels
+    return frozenset(labs[i] for i, r in enumerate(rel.rows) if r >> i & 1)
+
+
+def has_fixed_point(rel: BinaryRelation) -> bool:
+    return rel.bits & BinaryRelation.identity(rel.ground).bits != 0
+
+
+# -- monoid lattice operations -------------------------------------------------
+
+
+def includes(a: ClosedMonoid, b: ClosedMonoid) -> bool:
+    """Monoid inclusion: every member of `b` is a member of `a`."""
+    return all(a.contains(m) for m in b.min_antichain)
+
+
+def dual(m: ClosedMonoid) -> ClosedMonoid:
+    """The monoid of the inverses of the members of `m`."""
+    return ClosedMonoid.from_antichain(m.ground, (r.inverse() for r in m.min_antichain))
+
+
+def is_self_dual(m: ClosedMonoid) -> bool:
+    return m == dual(m)
+
+
+def all_have_fixed_point(m: ClosedMonoid) -> bool:
+    # Fixed points persist upward under inclusion, so checking the
+    # minimal members decides the whole up-set.
+    return all(has_fixed_point(r) for r in m.min_antichain)
+
+
+def meet(a: ClosedMonoid, b: ClosedMonoid) -> ClosedMonoid:
+    """Intersection of the two membership sets."""
+    if a.ground != b.ground:
+        raise GroundSetMismatchError("monoids on different ground sets")
+    unions = [x.union(y) for x in a.min_antichain for y in b.min_antichain]
+    return ClosedMonoid.from_antichain(a.ground, unions)
+
+
+def join(a: ClosedMonoid, b: ClosedMonoid) -> ClosedMonoid:
+    """Least closed submonoid containing both."""
+    if a.ground != b.ground:
+        raise GroundSetMismatchError("monoids on different ground sets")
+    return closure(a.ground, a.min_antichain + b.min_antichain)
+
+
+# -- regularity and the representation of relations as pullbacks ---------------
+
+
+@dataclass(frozen=True)
+class RegularityResult:
+    premise_holds: bool
+    holds: bool
+
+
+def check_regularity(
+    game1: DMP,
+    game2: DMP,
+    pair1: tuple[str, str],
+    pair2: tuple[str, str],
+    monoid: ClosedMonoid,
+) -> RegularityResult:
+    """If the two pairs share a state-preference relation, their derived
+    memberships must agree.  When the premise fails the implication is
+    vacuous; the flag makes that visible instead of silently passing."""
+    rho1 = state_preference(game1, *pair1)
+    rho2 = state_preference(game2, *pair2)
+    if rho1 != rho2:
+        return RegularityResult(premise_holds=False, holds=True)
+    in1 = derive(game1, monoid).holds(*pair1)
+    in2 = derive(game2, monoid).holds(*pair2)
+    return RegularityResult(premise_holds=True, holds=in1 == in2)
+
+
+def represent_relation(
+    sigma: BinaryRelation,
+) -> tuple[PartialOrder, OutcomeMap, OutcomeMap]:
+    """Realize any relation on states as a pullback through a partial order.
+
+    Two disjoint copies of the state set are ordered so that the only
+    cross-copy comparabilities mirror `sigma`; the identification maps into
+    the copies pull the order back to exactly `sigma`.
+    """
+    states = sigma.ground
+    n = states.size
+    labels = tuple(f"{y}.1" for y in states.labels) + tuple(
+        f"{y}.2" for y in states.labels
+    )
+    outcome_set = GroundSet(labels)
+    pairs = [(i, i) for i in range(2 * n)]
+    for i, j in sigma.index_pairs():
+        pairs.append((i, n + j))
+    order = PartialOrder(
+        outcome_set, BinaryRelation.from_index_pairs(outcome_set, pairs)
+    )
+    phi = OutcomeMap(states, outcome_set, tuple(range(n)))
+    psi = OutcomeMap(states, outcome_set, tuple(range(n, 2 * n)))
+    return order, phi, psi
 
 
 # -- set-based oracles, independent of the bitmask implementation -------------
@@ -98,20 +264,20 @@ def pareto_pairs(game: DMP, strict: bool = False) -> set[tuple[int, int]]:
 def common_lower_bounds(order: PartialOrder, subset: list[str]) -> frozenset[str]:
     """{a | a <= s for every s in subset}."""
     return frozenset(
-        a for a in order.ground.labels if all(order.le(a, s) for s in subset)
+        a for a in order.ground.labels if all(le(order, a, s) for s in subset)
     )
 
 
 def principal_ideals(order: PartialOrder, subset: list[str]) -> frozenset[str]:
     """{a | a <= s for some s in subset}: the union of the principal ideals."""
     return frozenset(
-        a for a in order.ground.labels if any(order.le(a, s) for s in subset)
+        a for a in order.ground.labels if any(le(order, a, s) for s in subset)
     )
 
 
 def guaranteed_reference(game: DMP, x: str) -> frozenset[str]:
     """Common lower bounds of the outcomes of x's table row."""
-    row = [game.outcome(x, y) for y in game.states.labels]
+    row = [outcome(game, x, y) for y in game.states.labels]
     return common_lower_bounds(game.outcomes, row)
 
 
@@ -134,7 +300,7 @@ def characteristic_reference(game: DMP) -> tuple[frozenset[str], frozenset[str]]
     lower = frozenset().union(*(guaranteed_reference(game, x) for x in xs))
     upper = frozenset(game.outcomes.ground.labels)
     for y in game.states.labels:
-        upper &= principal_ideals(game.outcomes, [game.outcome(x, y) for x in xs])
+        upper &= principal_ideals(game.outcomes, [outcome(game, x, y) for x in xs])
     return lower, upper
 
 
@@ -145,8 +311,8 @@ def saddle_reference(game: DMP) -> tuple[tuple[str, str], ...]:
         (x0, y0)
         for x0 in xs
         for y0 in ys
-        if all(order.le(game.outcome(x, y0), game.outcome(x0, y0)) for x in xs)
-        and all(order.le(game.outcome(x0, y0), game.outcome(x0, y)) for y in ys)
+        if all(le(order, outcome(game, x, y0), outcome(game, x0, y0)) for x in xs)
+        and all(le(order, outcome(game, x0, y0), outcome(game, x0, y)) for y in ys)
     )
 
 
@@ -227,7 +393,7 @@ def beta_explicit(game: DMP) -> Preference:
 
     def accept(x1: str, x2: str) -> bool:
         return all(
-            any(leq.le(game.outcome(x1, y2), game.outcome(x2, y1)) for y2 in ys)
+            any(le(leq, outcome(game, x1, y2), outcome(game, x2, y1)) for y2 in ys)
             for y1 in ys
         )
 
@@ -241,7 +407,7 @@ def dual_beta_explicit(game: DMP) -> Preference:
 
     def accept(x1: str, x2: str) -> bool:
         return all(
-            any(leq.le(game.outcome(x1, y1), game.outcome(x2, y2)) for y2 in ys)
+            any(le(leq, outcome(game, x1, y1), outcome(game, x2, y2)) for y2 in ys)
             for y1 in ys
         )
 
@@ -255,11 +421,11 @@ def beta_both_explicit(game: DMP) -> Preference:
 
     def accept(x1: str, x2: str) -> bool:
         forward = all(
-            any(leq.le(game.outcome(x1, y1), game.outcome(x2, y2)) for y2 in ys)
+            any(le(leq, outcome(game, x1, y1), outcome(game, x2, y2)) for y2 in ys)
             for y1 in ys
         )
         backward = all(
-            any(leq.le(game.outcome(x1, y1), game.outcome(x2, y2)) for y1 in ys)
+            any(le(leq, outcome(game, x1, y1), outcome(game, x2, y2)) for y1 in ys)
             for y2 in ys
         )
         return forward and backward

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from common import ground
+from common import ground, le, render_dmp
 
 from ordpref import fixtures, lattice
 from ordpref.cli import InputError, main, parse_monoid_spec
@@ -23,7 +23,6 @@ from ordpref.textio import (
     parse_dmp,
     parse_morphism,
     parse_relations,
-    render_dmp,
     render_preference,
 )
 
@@ -106,7 +105,7 @@ class TestParseRelations:
         ]
 
     def test_empty_text_is_one_empty_relation(self):
-        assert parse_relations("# nothing\n", Y2) == [BinaryRelation.empty(Y2)]
+        assert parse_relations("# nothing\n", Y2) == [BinaryRelation(Y2, 0)]
 
     def test_unknown_state(self):
         with pytest.raises(DmpParseError, match="unknown state 'z'"):
@@ -126,7 +125,7 @@ class TestParseMorphism:
         )
         mapping, order = parse_morphism(text, game.outcomes.ground)
         assert mapping["0"] == "lo" and mapping["1"] == "hi"
-        assert order.le("lo", "hi")
+        assert le(order, "lo", "hi")
 
     def test_unknown_source(self):
         with pytest.raises(DmpParseError, match="unknown source outcome"):
@@ -195,6 +194,19 @@ class TestMonoidSpec:
     def test_unknown_name(self):
         with pytest.raises(InputError, match="unknown monoid spec"):
             parse_monoid_spec("bogus", Y2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "beta=junk", "pareto=x", "pareto=", "universal=y1", "beta-both=",
+            "reflexive=x", "surjective=y1", "total=",
+            "dictator", "atom", "filter", "idempotent", "gens",
+        ],
+    )
+    def test_spec_outside_the_listed_forms_is_unknown(self, spec):
+        with pytest.raises(InputError) as info:
+            parse_monoid_spec(spec, Y2)
+        assert str(info.value).startswith(f"unknown monoid spec {spec!r}; known: ")
 
     def test_bad_dictator_state(self):
         with pytest.raises(InputError):
@@ -387,6 +399,12 @@ class TestMainCommands:
         assert main(["lattice", "--states", "4", "--generated", "--max-gens", "0"]) == 0
         out = capsys.readouterr().out
         assert out == "1 closed submonoids generated by up to 0 relations on 4 states\n"
+
+    def test_lattice_generated_refuses_dot(self, tmp_path, capsys):
+        dot = tmp_path / "x.dot"
+        assert main(["lattice", "--generated", "--dot", str(dot)]) == 2
+        self.assert_one_line_error(capsys, "--dot draws the two-state lattice")
+        assert not dot.exists()
 
     def test_lattice_dot_into_missing_directory(self, tmp_path, capsys):
         dot = tmp_path / "missing" / "x.dot"

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from common import render_morphism
+from common import render_dmp, render_morphism
 
 from ordpref import fixtures
 from ordpref.cli import main
-from ordpref.textio import render_dmp
 
 
 # Well-formed files that byte mutations start from.

@@ -23,13 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from common import render_morphism
+from common import render_dmp, render_morphism
 
 from ordpref import fixtures
 from ordpref.cli import main
 from ordpref.lattice import enumerate_exhaustive, enumerate_generated, export_dot
 from ordpref.relations import GroundSet
-from ordpref.textio import render_dmp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +99,9 @@ def _cases() -> dict[str, list[str]]:
     ]
     cases["error-derive-dictator-empty"] = [
         "derive", "--dmp", "{example1}", "--monoid", "dictator=",
+    ]
+    cases["error-derive-beta-with-argument"] = [
+        "derive", "--dmp", "{example1}", "--monoid", "beta=junk",
     ]
     cases["error-derive-unknown-spec"] = [
         "derive", "--dmp", "{example1}", "--monoid", "bogus",
