@@ -25,7 +25,6 @@ from .monoids import (
     dictator_monoid,
     filter_monoid,
     idempotent_monoid,
-    minimize,
     reflexive_monoid,
     surjective_monoid,
     total_monoid,

@@ -186,9 +186,15 @@ def cmd_anomalies(_args: argparse.Namespace) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
+    if args.dmp and args.states is not None:
+        raise InputError("--dmp takes its states from the game and cannot be used with --states")
+    if args.dmp and args.generated:
+        raise InputError(
+            "--dmp draws a census on the two-state lattice and cannot be used with --generated"
+        )
     game = _parse(args.dmp, parse_dmp) if args.dmp else None
     # Every size bound is checked before the state set is built.
-    n = game.states.size if game else args.states
+    n = game.states.size if game else (2 if args.states is None else args.states)
     if n < 1:
         raise InputError(f"--states must be at least 1, got {n}")
     if args.generated:
@@ -204,6 +210,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
             raise InputError(str(exc)) from None
     elif n != 2:
         raise InputError(
+            f"--dmp needs a game on exactly 2 states, got {n}" if game else
             "exhaustive enumeration needs exactly 2 states; pass --generated "
             "with --max-gens for larger state sets"
         )
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_anomalies)
 
     p = sub.add_parser("lattice", help="enumerate closed submonoids")
-    p.add_argument("--states", type=int, default=2)
+    p.add_argument("--states", type=int)
     p.add_argument("--dmp")
     p.add_argument("--dot")
     p.add_argument("--generated", action="store_true")

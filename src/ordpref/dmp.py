@@ -264,46 +264,32 @@ def dualize(game: DMP) -> DMP:
 class Morphism:
     source: DMP
     target: DMP
-    outcome_map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outcome_map", tuple(self.outcome_map))
-        src, tgt = self.source, self.target
-        if src.strategies != tgt.strategies or src.states != tgt.states:
-            raise MorphismError("morphism endpoints must share strategies and states")
-        if len(self.outcome_map) != src.outcomes.ground.size:
-            raise MorphismError("outcome map must be total on the source outcomes")
-        a_labels = src.outcomes.ground.labels
-        b_labels = tgt.outcomes.ground.labels
-        above = tgt.outcomes.leq.rows
-        image = self.outcome_map
-        for i, j in src.outcomes.leq.index_pairs():
-            if not above[image[i]] >> image[j] & 1:
-                raise MorphismError(
-                    f"map is not isotone: {a_labels[i]} <= {a_labels[j]} but "
-                    f"{b_labels[image[i]]} !<= {b_labels[image[j]]}"
-                )
-        for i in range(src.strategies.size):
-            for j in range(src.states.size):
-                if tgt.table[i][j] != self.outcome_map[src.table[i][j]]:
-                    raise MorphismError("target table is not the image of the source table")
 
 
 def apply_morphism(
     game: DMP, mapping: Mapping[str, str], target_order: PartialOrder
 ) -> tuple[Morphism, DMP]:
-    """Push the game through an isotone outcome map, producing the image game."""
+    """Push the game through an isotone outcome map, producing the image game.
+    The map must be total on the game's outcomes and isotone: each pair of
+    the source order, in row order, must map to a pair of the target's."""
     try:
-        outcome_map = tuple(
+        image = tuple(
             target_order.ground.index(mapping[a]) for a in game.outcomes.ground.labels
         )
     except KeyError as exc:
         raise MorphismError(f"outcome map is not total: missing {exc.args[0]!r}") from None
-    table = tuple(
-        tuple(outcome_map[v] for v in row) for row in game.table
-    )
-    image = DMP(game.strategies, game.states, target_order, table)
-    return Morphism(game, image, outcome_map), image
+    a_labels = game.outcomes.ground.labels
+    b_labels = target_order.ground.labels
+    above = target_order.leq.rows
+    for i, j in game.outcomes.leq.index_pairs():
+        if not above[image[i]] >> image[j] & 1:
+            raise MorphismError(
+                f"map is not isotone: {a_labels[i]} <= {a_labels[j]} but "
+                f"{b_labels[image[i]]} !<= {b_labels[image[j]]}"
+            )
+    table = tuple(tuple(image[v] for v in row) for row in game.table)
+    target = DMP(game.strategies, game.states, target_order, table)
+    return Morphism(game, target), target
 
 
 def check_functoriality(

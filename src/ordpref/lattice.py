@@ -79,9 +79,7 @@ def enumerate_exhaustive(ground: GroundSet) -> MonoidLattice:
             minimal[family] = least
     member_masks = sorted(minimal, key=lambda m: (m.bit_count(), m))
     elements = tuple(
-        ClosedMonoid.from_antichain(
-            ground, (BinaryRelation(ground, r) for r in minimal[family])
-        )
+        ClosedMonoid(ground, tuple(BinaryRelation(ground, r) for r in minimal[family]))
         for family in member_masks
     )
     return _build_lattice(ground, elements, member_masks)
@@ -92,6 +90,8 @@ def _build_lattice(
     elements: tuple[ClosedMonoid, ...],
     masks: Sequence[int],
 ) -> MonoidLattice:
+    """The Hasse diagram of `elements`, sorted by (member count, mask), so
+    the least element comes first and the greatest last."""
     n = len(elements)
     below = [
         [i != j and masks[i] & ~masks[j] == 0 for j in range(n)] for i in range(n)
@@ -103,13 +103,9 @@ def _build_lattice(
                 below[i][k] and below[k][j] for k in range(n)
             ):
                 edges.append((i, j))
-    least = min(range(n), key=lambda i: masks[i].bit_count())
-    greatest = max(range(n), key=lambda i: masks[i].bit_count())
-    atoms = tuple(sorted(j for i, j in edges if i == least))
-    dual_atoms = tuple(sorted(i for i, j in edges if j == greatest))
-    return MonoidLattice(
-        ground, elements, tuple(sorted(edges)), atoms, dual_atoms, least, greatest
-    )
+    atoms = tuple(sorted(j for i, j in edges if i == 0))
+    dual_atoms = tuple(sorted(i for i, j in edges if j == n - 1))
+    return MonoidLattice(ground, elements, tuple(sorted(edges)), atoms, dual_atoms, 0, n - 1)
 
 
 def check_generated(n_states: int, max_generators: int) -> None:

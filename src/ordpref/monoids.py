@@ -8,10 +8,10 @@ determined by its antichain of inclusion-minimal members.  Membership is
 
 Composition is inclusion-monotone in both arguments, so closure under
 composition of the minimal members implies closure of the whole up-set;
-construction validates exactly that, on the members' bits.  `closure()`
-builds the least such family by a semi-naive fixed point on bits: each round
-composes only the members added in the round before, on the right with each
-minimal generator.
+construction validates exactly that, on the members' bits.  `closure()` is
+the one builder from arbitrary relations: it takes the least such family by
+a semi-naive fixed point on bits, where each round composes only the members
+added in the round before, on the right with each minimal generator.
 
 The canonical families are held in structural form instead: a relation is a
 member iff it contains every cell of a `need` mask and meets every mask in a
@@ -44,18 +44,6 @@ class MonoidConstructionError(ValueError):
     too large to build."""
 
 
-def minimize(relations: Iterable[BinaryRelation]) -> list[BinaryRelation]:
-    """Inclusion-minimal elements, deduplicated, in canonical row order
-    (lexicographic by rows, row 0 first)."""
-    rels = list(relations)
-    if not rels:
-        return []
-    ground = rels[0].ground
-    if any(r.ground != ground for r in rels):
-        raise GroundSetMismatchError("relations on different ground sets")
-    return _in_row_order(ground, _minimal_bits(r.bits for r in rels))
-
-
 def _minimal_bits(candidates: Iterable[int]) -> list[int]:
     """The inclusion-minimal relations among `candidates`, given by their
     bits, deduplicated.
@@ -70,10 +58,6 @@ def _minimal_bits(candidates: Iterable[int]) -> list[int]:
         if all(m & outside for m in out):
             out.append(bits)
     return out
-
-
-def _in_row_order(ground: GroundSet, antichain: Iterable[int]) -> list[BinaryRelation]:
-    return sorted((BinaryRelation(ground, bits) for bits in antichain), key=lambda r: r.rows)
 
 
 def _covered(bits: int, members: set[int], antichain: Iterable[int]) -> bool:
@@ -100,21 +84,24 @@ MAX_CLOSURE_MEMBERS = 500
 
 @dataclass(frozen=True, eq=False)
 class ClosedMonoid:
-    """A closed submonoid held as its minimal antichain, validated on
-    construction; membership scans the antichain.  Equality and hashing go by
-    the ground set and the minimal antichain, for every subclass too."""
+    """A closed submonoid held as its minimal antichain, put in row order
+    (lexicographic by rows, row 0 first) and validated on construction;
+    membership scans the antichain.  Equality and hashing go by the ground
+    set and the minimal antichain, for every subclass too, so they do not
+    depend on the order the antichain was given in."""
 
     ground: GroundSet
     min_antichain: tuple[BinaryRelation, ...]
 
     def __post_init__(self) -> None:
         members = tuple(self.min_antichain)
-        object.__setattr__(self, "min_antichain", members)
         if not members:
             raise MonoidConstructionError("antichain must be non-empty")
         for m in members:
             if m.ground != self.ground:
                 raise GroundSetMismatchError("antichain member on wrong ground set")
+        members = tuple(sorted(members, key=lambda r: r.rows))
+        object.__setattr__(self, "min_antichain", members)
         antichain = [m.bits for m in members]
         for (i, a), (j, b) in itertools.combinations(enumerate(antichain), 2):
             if a & ~b == 0 or b & ~a == 0:
@@ -133,12 +120,6 @@ class ClosedMonoid:
                         f"not composition-closed: {members[j]}*{members[i]} = "
                         f"{BinaryRelation(self.ground, prod)} escapes"
                     )
-
-    @classmethod
-    def from_antichain(
-        cls, ground: GroundSet, relations: Iterable[BinaryRelation]
-    ) -> "ClosedMonoid":
-        return cls(ground, tuple(minimize(relations)))
 
     def contains(self, rel: BinaryRelation) -> bool:
         # Subclasses override `_accepts`, not this: every membership test of
@@ -193,7 +174,7 @@ class StructuralMonoid(ClosedMonoid):
                     f"the minimal members of this monoid on {self.ground.size} "
                     f"states have more than {MAX_ANTICHAIN_CANDIDATES} candidates"
                 )
-        antichain = _in_row_order(self.ground, _minimal_bits(found))
+        antichain = tuple(BinaryRelation(self.ground, bits) for bits in _minimal_bits(found))
         return ClosedMonoid(self.ground, antichain).min_antichain
 
     def _accepts(self, bits: int) -> bool:
@@ -245,7 +226,7 @@ def closure(ground: GroundSet, generators: Iterable[BinaryRelation]) -> ClosedMo
                     )
         antichain = _minimal_bits(antichain + list(pending))
         fresh = pending.intersection(antichain)
-    return ClosedMonoid(ground, _in_row_order(ground, antichain))
+    return ClosedMonoid(ground, tuple(BinaryRelation(ground, bits) for bits in antichain))
 
 
 # -- canonical families ------------------------------------------------------
@@ -298,9 +279,7 @@ def idempotent_monoid(ground: GroundSet, sigma: BinaryRelation) -> ClosedMonoid:
     plus everything containing sigma."""
     if compose(sigma, sigma) != sigma:
         raise ValueError(f"relation {sigma} is not idempotent; use closure() instead")
-    return ClosedMonoid.from_antichain(
-        ground, [BinaryRelation.identity(ground), sigma]
-    )
+    return closure(ground, [sigma])
 
 
 def atom_monoid(ground: GroundSet, state: str) -> ClosedMonoid:
@@ -309,10 +288,7 @@ def atom_monoid(ground: GroundSet, state: str) -> ClosedMonoid:
     if ground.size < 2:
         raise ValueError("atom monoid needs at least two states")
     cell = BinaryRelation.from_pairs(ground, [(state, state)])
-    near_full = BinaryRelation.full(ground).difference(cell)
-    return ClosedMonoid.from_antichain(
-        ground, [BinaryRelation.identity(ground), near_full]
-    )
+    return closure(ground, [BinaryRelation.full(ground).difference(cell)])
 
 
 # The named monoids in display order, each with its builder and whether it

@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 from hypothesis import strategies as st
 
 from ordpref.dmp import DMP, Preference, derive, state_preference
-from ordpref.monoids import ClosedMonoid, closure, minimize
+from ordpref.monoids import ClosedMonoid, closure
 from ordpref.orders import OutcomeMap, PartialOrder
 from ordpref.relations import (
     BinaryRelation,
@@ -144,7 +144,7 @@ def includes(a: ClosedMonoid, b: ClosedMonoid) -> bool:
 
 def dual(m: ClosedMonoid) -> ClosedMonoid:
     """The monoid of the inverses of the members of `m`."""
-    return ClosedMonoid.from_antichain(m.ground, (r.inverse() for r in m.min_antichain))
+    return ClosedMonoid(m.ground, pairwise_minimal(r.inverse() for r in m.min_antichain))
 
 
 def is_self_dual(m: ClosedMonoid) -> bool:
@@ -162,7 +162,7 @@ def meet(a: ClosedMonoid, b: ClosedMonoid) -> ClosedMonoid:
     if a.ground != b.ground:
         raise GroundSetMismatchError("monoids on different ground sets")
     unions = [x.union(y) for x in a.min_antichain for y in b.min_antichain]
-    return ClosedMonoid.from_antichain(a.ground, unions)
+    return ClosedMonoid(a.ground, pairwise_minimal(unions))
 
 
 def join(a: ClosedMonoid, b: ClosedMonoid) -> ClosedMonoid:
@@ -437,26 +437,37 @@ def surjective_antichain(g: GroundSet) -> tuple[BinaryRelation, ...]:
     """Minimal members of beta: the co-function graphs {(h(y), y)}, one
     per map h, listed by brute force."""
     n = g.size
-    return tuple(minimize(
+    return pairwise_minimal(
         BinaryRelation.from_index_pairs(g, ((h[j], j) for j in range(n)))
         for h in itertools.product(range(n), repeat=n)
-    ))
+    )
 
 
 def total_antichain(g: GroundSet) -> tuple[BinaryRelation, ...]:
     """Minimal members of dual beta: the function graphs {(y, h(y))}."""
     n = g.size
-    return tuple(minimize(
+    return pairwise_minimal(
         BinaryRelation.from_index_pairs(g, ((i, h[i]) for i in range(n)))
         for h in itertools.product(range(n), repeat=n)
-    ))
+    )
 
 
 def beta_both_antichain(g: GroundSet) -> tuple[BinaryRelation, ...]:
     """Minimal members of beta-both: the minimal unions of a co-function
     graph and a function graph (the meet of the two families)."""
-    return tuple(minimize(
+    return pairwise_minimal(
         a.union(b) for a in surjective_antichain(g) for b in total_antichain(g)
+    )
+
+
+def pairwise_minimal(rels: Iterable[BinaryRelation]) -> tuple[BinaryRelation, ...]:
+    """The inclusion-minimal relations, deduplicated, in row order: each
+    one is tested against every other, independently of the package's
+    minimizer."""
+    unique = set(rels)
+    return tuple(sorted(
+        (r for r in unique if not any(m != r and m.is_subset(r) for m in unique)),
+        key=lambda r: r.rows,
     ))
 
 
@@ -466,16 +477,8 @@ def closure_antichain(
     """Minimal antichain of the least closed submonoid containing the
     generators, in row order: every round composes all pairs of the current
     antichain and adds the products it does not cover, until a round adds
-    none.  Minimal elements are picked pairwise, not by `minimize`."""
-
-    def minimal(rels: list[BinaryRelation]) -> list[BinaryRelation]:
-        unique = set(rels)
-        return sorted(
-            (r for r in unique if not any(m != r and m.is_subset(r) for m in unique)),
-            key=lambda r: r.rows,
-        )
-
-    antichain = minimal(list(generators) + [BinaryRelation.identity(ground)])
+    none.  Minimal elements are picked pairwise."""
+    antichain = pairwise_minimal(list(generators) + [BinaryRelation.identity(ground)])
     while True:
         fresh = []
         for a in antichain:
@@ -484,8 +487,8 @@ def closure_antichain(
                 if not any(m.is_subset(prod) for m in antichain):
                     fresh.append(prod)
         if not fresh:
-            return tuple(antichain)
-        antichain = minimal(antichain + fresh)
+            return antichain
+        antichain = pairwise_minimal(antichain + tuple(fresh))
 
 
 def closed_family_masks(ground: GroundSet) -> list[int]:

@@ -353,6 +353,10 @@ class TestMainCommands:
         assert main(["lattice", "--states", "3"]) == 2
         assert "exactly 2 states" in capsys.readouterr().err
 
+    def test_lattice_census_needs_a_two_state_game(self, example1_file, capsys):
+        assert main(["lattice", "--dmp", example1_file]) == 2
+        self.assert_one_line_error(capsys, "--dmp needs a game on exactly 2 states, got 3")
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -84,14 +84,12 @@ def argvs(draw):
     if command == "anomalies":
         return [command]
     if command == "lattice":
-        argv = [
-            command,
-            "--states", draw(st.sampled_from(STATES)),
-            "--max-gens", draw(st.sampled_from(MAX_GENS)),
-        ]
-        argv += _options(
-            draw, {"--dmp": [GAME, "missing.dmp"], "--dot": ["lattice.dot", "missing/x.dot"]}
-        )
+        argv = [command] + _options(draw, {
+            "--states": STATES,
+            "--max-gens": MAX_GENS,
+            "--dmp": [GAME, "missing.dmp"],
+            "--dot": ["lattice.dot", "missing/x.dot"],
+        })
         return argv + (["--generated"] if draw(st.booleans()) else [])
     argv = [command, "--dmp", draw(st.sampled_from([GAME] * 3 + ["missing.dmp"]))]
     if command == "validate":

@@ -107,6 +107,8 @@ def _cases() -> dict[str, list[str]]:
         "derive", "--dmp", "{example1}", "--monoid", "bogus",
     ]
     cases["error-lattice-states3"] = ["lattice", "--states", "3"]
+    cases["error-lattice-dmp-generated"] = ["lattice", "--dmp", "{example2}", "--generated"]
+    cases["error-lattice-dmp-states3"] = ["lattice", "--dmp", "{example2}", "--states", "3"]
     return cases
 
 

@@ -15,6 +15,7 @@ from common import (
     is_self_dual,
     join,
     meet,
+    pairwise_minimal,
     relation_strategy,
     validate_closed_predicate,
 )
@@ -191,6 +192,54 @@ class TestCanonical:
         for m in monoids:
             result = validate_closed_predicate(g, m.contains)
             assert result.ok, result.message
+
+
+class TestOneConstructor:
+    """A closed submonoid is fixed by its minimal antichain: the constructor
+    puts the antichain in row order, whatever order it is given in, and
+    the idempotent and atom monoids are built through `closure()`."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equality_hash_and_signature_ignore_the_given_order(self, n):
+        g = ground(n)
+        rng = random.Random(n)
+        pool = [atom_monoid(g, y) for y in g.labels] + [
+            surjective_monoid(g),
+            total_monoid(g),
+            beta_both_monoid(g),
+            closure(g, all_maps_generators(g)),
+        ]
+        for monoid in pool:
+            members = monoid.min_antichain
+            assert len(members) >= 2
+            shuffled = list(members)
+            rng.shuffle(shuffled)
+            for order in (members[::-1], tuple(shuffled)):
+                given = ClosedMonoid(g, order)
+                assert given.min_antichain == members
+                assert given == monoid
+                assert hash(given) == hash(monoid)
+                assert given.signature() == monoid.signature()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_idempotent_monoid_is_identity_and_sigma(self, n):
+        g = ground(n)
+        identity = BinaryRelation.identity(g)
+        sigmas = [s for s in all_relations(g) if compose(s, s) == s]
+        assert identity in sigmas and BinaryRelation(g, 0) in sigmas
+        for sigma in sigmas:
+            expected = pairwise_minimal([identity, sigma])
+            assert idempotent_monoid(g, sigma).min_antichain == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_atom_monoid_is_identity_and_near_full(self, n):
+        g = ground(n)
+        identity = BinaryRelation.identity(g)
+        for y in g.labels:
+            near_full = BinaryRelation.full(g).difference(rel(g, (y, y)))
+            expected = pairwise_minimal([identity, near_full])
+            assert len(expected) == 2
+            assert atom_monoid(g, y).min_antichain == expected
 
 
 class TestMeetJoin:
