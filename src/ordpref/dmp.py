@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .monoids import ClosedMonoid
+from .monoids import ClosedMonoid, reflexive_monoid
 from .orders import OutcomeMap, PartialOrder
 # Not used here: kept as `dmp.pullback`, the name bench/replay.py counts
 # pullback calls through.
@@ -67,14 +67,23 @@ class DMP:
         return OutcomeMap(self.states, self.outcomes.ground, self.table[i])
 
     @cached_property
-    def _up(self) -> list[list[int]]:
-        """up[k][a] is the bitmask of states y with a <= F(x_k, y), built
-        once per game.  Row j of the state-preference relation of (x_i, x_k)
-        is then up[k][F(x_i, y_j)], so a pair costs one lookup per state."""
+    def _at(self) -> list[list[int]]:
+        """at[t][b] is the mask of the strategies x with F(x, y_t) = b."""
+        at = [[0] * self.outcomes.ground.size for _ in range(self.states.size)]
+        for k, row in enumerate(self.table):
+            for t, b in enumerate(row):
+                at[t][b] |= 1 << k
+        return at
+
+    @cached_property
+    def _reach(self) -> list[list[int]]:
+        """reach[t][a] is the mask of the strategies x with a <= F(x, y_t),
+        built once per game; the `at` masks of a state are disjoint, so
+        their sum is their union."""
         above = self.outcomes.leq.rows
         return [
-            [sum(1 << j for j, b in enumerate(row) if up >> b & 1) for up in above]
-            for row in self.table
+            [sum(m for b, m in enumerate(at) if up >> b & 1) for up in above]
+            for at in self._at
         ]
 
 
@@ -113,71 +122,65 @@ class Preference:
 # -- basic derived relations -------------------------------------------------
 
 
-def _dominance(game: DMP, strict: bool) -> BinaryRelation:
-    """(x1, x2) iff F(x1, y) <= F(x2, y) in every state y, and also
-    F(x1, y) != F(x2, y) when `strict`.
-
-    Row x1 is the AND over states y of the strategies reaching at least
-    F(x1, y) at y (without those reaching exactly it, when strict); each
-    state's table of these masks by outcome costs one pass over the
-    strategies and one over the order, so no pair is tested on its own.
-    """
-    above = game.outcomes.leq.rows
-    rows = [(1 << game.strategies.size) - 1] * game.strategies.size
-    for j in range(game.states.size):
-        at = [0] * len(above)
-        for k, row in enumerate(game.table):
-            at[row[j]] |= 1 << k
-        # the `at` masks are disjoint, so their sum is their union
-        reach = [sum(m for b, m in enumerate(at) if up >> b & 1) for up in above]
-        if strict:
-            reach = [r & ~m for r, m in zip(reach, at)]
-        for i, row in enumerate(game.table):
-            rows[i] &= reach[row[j]]
-    return BinaryRelation.from_rows(game.strategies, rows)
+def _cells(game: DMP, row: tuple[int, ...]) -> list[int]:
+    """The state preferences of the strategy x1 with table row `row`
+    against every strategy at once, one mask per cell in the order of the
+    relation's bits (row by row): the mask of cell (s, t) holds the
+    strategies x2 with F(x1, y_s) <= F(x2, y_t)."""
+    reach = game._reach
+    return [r[a] for a in row for r in reach]
 
 
 def pareto(game: DMP) -> Preference:
-    """(x1, x2) iff the x2 row dominates the x1 row in every state."""
-    return Preference(game.strategies, _dominance(game, strict=False))
+    """(x1, x2) iff the x2 row dominates the x1 row in every state: the
+    preference derived from the reflexive relations."""
+    return derive(game, reflexive_monoid(game.states))
 
 
 def strict_pareto(game: DMP) -> BinaryRelation:
-    """(x1, x2) iff the x2 row strictly dominates in every state."""
-    return _dominance(game, strict=True)
+    """(x1, x2) iff F(x1, y) < F(x2, y) in every state y.
+
+    Row x1 is the AND over states y_t of the strategies reaching at least
+    F(x1, y_t) at y_t, less those reaching exactly it; so no pair is tested
+    on its own.
+    """
+    reach, at = game._reach, game._at
+    rows = []
+    for row in game.table:
+        mask = (1 << game.strategies.size) - 1
+        for t, a in enumerate(row):
+            mask &= reach[t][a] & ~at[t][a]
+        rows.append(mask)
+    return BinaryRelation.from_rows(game.strategies, rows)
 
 
 def state_preference(game: DMP, x1: str, x2: str) -> BinaryRelation:
     """Relation on states: (y1, y2) iff F(x1, y1) <= F(x2, y2).
 
-    Row y1 is the set of states where x2 reaches at least F(x1, y1), read
-    off the game's up-masks (each below 2^n by construction, so they are
-    packed without a per-row check); derive and the lattice census build
-    every state-preference here.
+    Cell (s, t) is bit k of reach[t][F(x1, y_s)], where x2 is strategy k;
+    `derive` reads the same masks for all x2 at once and never calls this.
     """
-    up = game._up[game.strategies.index(x2)]
-    row = game.table[game.strategies.index(x1)]
-    bits = pack_rows([up[a] for a in row], game.states.size)
-    return BinaryRelation(game.states, bits)
-
-
-def _state_preferences(game: DMP) -> Iterator[tuple[tuple[int, int], BinaryRelation]]:
-    """Every strategy index pair (i, k) with the state preference of
-    (x_i, x_k), in row order."""
-    labels = game.strategies.labels
-    for i, x1 in enumerate(labels):
-        for k, x2 in enumerate(labels):
-            yield (i, k), state_preference(game, x1, x2)
+    k, reach = game.strategies.index(x2), game._reach
+    rows = [
+        sum((r[a] >> k & 1) << t for t, r in enumerate(reach))
+        for a in game.table[game.strategies.index(x1)]
+    ]
+    return BinaryRelation(game.states, pack_rows(rows, game.states.size))
 
 
 def derive(game: DMP, monoid: ClosedMonoid) -> Preference:
     """Preference induced by a closed submonoid: (x1, x2) is accepted iff
-    the state-preference of the pair is a member of the monoid."""
+    the state preference of the pair is a member of the monoid.
+
+    Membership depends only on the cells of the state preference, so row
+    x1 is the monoid's `_select` of the cells of x1 against every x2 at
+    once: no pair is built or tested on its own.
+    """
     if monoid.ground != game.states:
         raise GroundSetMismatchError("monoid must live on the game's state set")
-    pairs = [pair for pair, rho in _state_preferences(game) if monoid.contains(rho)]
-    rel = BinaryRelation.from_index_pairs(game.strategies, pairs)
-    return Preference(game.strategies, rel)
+    full = (1 << game.strategies.size) - 1
+    rows = [monoid._select(_cells(game, row), full) for row in game.table]
+    return Preference(game.strategies, BinaryRelation.from_rows(game.strategies, rows))
 
 
 # -- alpha-domination and characteristic sets ---------------------------------
@@ -272,12 +275,13 @@ def apply_morphism(
     """Push the game through an isotone outcome map, producing the image game.
     The map must be total on the game's outcomes and isotone: each pair of
     the source order, in row order, must map to a pair of the target's."""
-    try:
-        image = tuple(
-            target_order.ground.index(mapping[a]) for a in game.outcomes.ground.labels
-        )
-    except KeyError as exc:
-        raise MorphismError(f"outcome map is not total: missing {exc.args[0]!r}") from None
+    image = []
+    for a in game.outcomes.ground.labels:
+        if a not in mapping:
+            raise MorphismError(f"outcome map is not total: missing {a!r}")
+        if mapping[a] not in target_order.ground:
+            raise MorphismError(f"image {mapping[a]!r} of {a!r} is not a target outcome")
+        image.append(target_order.ground.index(mapping[a]))
     a_labels = game.outcomes.ground.labels
     b_labels = target_order.ground.labels
     above = target_order.leq.rows

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .dmp import DMP, Preference, _state_preferences
+from .dmp import DMP, Preference, _cells
 from .monoids import NAMED_MONOIDS, ClosedMonoid, closure, reflexive_monoid
 from .relations import (
     BinaryRelation,
@@ -149,15 +149,17 @@ def preference_census(
     game: DMP, lattice: MonoidLattice
 ) -> list[tuple[Preference, tuple[int, ...]]]:
     """Distinct derived preferences over the lattice elements, each with the
-    sorted indices of the monoids inducing it.  Each pair's state
-    preference is built once and tested against every element."""
+    sorted indices of the monoids inducing it.  The cells of every
+    strategy's row are built once, as in `derive`, and each element selects
+    its preference rows from them."""
     if lattice.ground != game.states:
         raise GroundSetMismatchError("lattice must live on the game's state set")
-    rhos = list(_state_preferences(game))
+    table = [_cells(game, row) for row in game.table]
+    full = (1 << game.strategies.size) - 1
     groups: dict[BinaryRelation, list[int]] = {}
     for idx, monoid in enumerate(lattice.elements):
-        pairs = [pair for pair, rho in rhos if monoid.contains(rho)]
-        rel = BinaryRelation.from_index_pairs(game.strategies, pairs)
+        rows = [monoid._select(cells, full) for cells in table]
+        rel = BinaryRelation.from_rows(game.strategies, rows)
         groups.setdefault(rel, []).append(idx)
     return [(Preference(game.strategies, rel), tuple(idxs)) for rel, idxs in groups.items()]
 

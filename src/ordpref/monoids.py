@@ -19,6 +19,12 @@ member iff it contains every cell of a `need` mask and meets every mask in a
 row, Pareto and the filters the diagonal cells of their base.  Membership
 then costs at most 2n + 1 integer ANDs, and the minimal antichain is built
 only when something asks for it.
+
+`derive` tests a whole row of strategy pairs at once through `_select`, the
+batch form of membership: each cell of the relation becomes a mask of the
+candidates holding it, and the membership formula (the AND of `need` cells
+and ORs of `hit` cells, or the OR over minimal members of the AND of their
+cells) is evaluated on those masks.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .relations import (
     BinaryRelation,
     GroundSet,
     GroundSetMismatchError,
+    bit_positions,
     column_masks,
     compose,
     compose_bits,
@@ -122,8 +129,9 @@ class ClosedMonoid:
                     )
 
     def contains(self, rel: BinaryRelation) -> bool:
-        # Subclasses override `_accepts`, not this: every membership test of
-        # every form passes here, where bench/replay.py counts them.
+        # Subclasses override `_accepts`, not this: every per-relation
+        # membership test passes here, where bench/replay.py counts them.
+        # `derive` tests whole rows through `_select` instead.
         if rel.ground != self.ground:
             raise GroundSetMismatchError("relation on wrong ground set")
         return self._accepts(rel.bits)
@@ -132,6 +140,26 @@ class ClosedMonoid:
         """Membership of the relation with these bits on `ground`."""
         outside = ~bits
         return any(m.bits & outside == 0 for m in self.min_antichain)
+
+    @cached_property
+    def _member_cells(self) -> tuple[tuple[int, ...], ...]:
+        """The cells (bit positions) of each minimal member."""
+        return tuple(tuple(bit_positions(m.bits)) for m in self.min_antichain)
+
+    def _select(self, cells: list[int], full: int) -> int:
+        """Batch membership: cells[c] is the mask of the candidates whose
+        relation holds cell c, and the result is the mask of the members,
+        within `full`.  Some minimal member holds only cells a candidate
+        holds: the OR over members of the AND of their cells."""
+        selected = 0
+        for member in self._member_cells:
+            mask = full
+            for c in member:
+                mask &= cells[c]
+            selected |= mask
+            if selected == full:
+                break
+        return selected
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClosedMonoid):
@@ -149,14 +177,19 @@ class StructuralMonoid(ClosedMonoid):
     """The relations that contain every cell of `need` and meet every mask
     in `hit`; the caller vouches that they form a closed submonoid.
 
-    Nothing is built up front: membership is read off the masks, and the
-    minimal antichain is built and validated on first access.
+    Only the cell positions of the masks are taken up front: membership is
+    read off the masks, and the minimal antichain is built and validated
+    on first access.
     """
 
     def __init__(self, ground: GroundSet, need: int = 0, hit: Iterable[int] = ()) -> None:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "need", need)
         object.__setattr__(self, "hit", tuple(hit))
+        object.__setattr__(self, "_need_cells", tuple(bit_positions(need)))
+        object.__setattr__(
+            self, "_hit_cells", tuple(tuple(bit_positions(mask)) for mask in self.hit)
+        )
 
     @cached_property
     def min_antichain(self) -> tuple[BinaryRelation, ...]:
@@ -165,7 +198,7 @@ class StructuralMonoid(ClosedMonoid):
         gives the antichain, which is then validated like a given one."""
         found = [self.need]
         for mask in self.hit:
-            cells = [1 << k for k in range(mask.bit_length()) if mask >> k & 1]
+            cells = [1 << c for c in bit_positions(mask)]
             found = [
                 bits | cell for bits in found for cell in ((0,) if bits & mask else cells)
             ]
@@ -184,6 +217,19 @@ class StructuralMonoid(ClosedMonoid):
             if not bits & mask:
                 return False
         return True
+
+    def _select(self, cells: list[int], full: int) -> int:
+        """The AND of the `need` cells and, for each `hit` mask, of the OR
+        of its cells; the antichain is never built."""
+        selected = full
+        for c in self._need_cells:
+            selected &= cells[c]
+        for group in self._hit_cells:
+            hit = 0
+            for c in group:
+                hit |= cells[c]
+            selected &= hit
+        return selected
 
     def __repr__(self) -> str:
         return f"StructuralMonoid({self.ground!r}, {self.need:#x}, {self.hit!r})"

@@ -2,9 +2,10 @@
 
 `pullback` takes two maps phi, psi from states to outcomes and an order on
 the outcomes, and gives the relation on states pairing y1 with y2 whenever
-phi(y1) <= psi(y2).  It is the defining form of a state preference: `derive`
-reads the same relation off per-game up-masks (`dmp.state_preference`), and
-the tests compare the two.
+phi(y1) <= psi(y2).  It is the defining form of a state preference:
+`dmp.state_preference` reads the same relation off a per-game table of
+strategy masks, from which `derive` takes the cells of every pair of a row at
+once, and the tests compare them with it.
 """
 
 from __future__ import annotations

@@ -93,8 +93,8 @@ def column_masks(n: int) -> list[int]:
     return [column << j for j in range(n)]
 
 
-def _members(mask: int) -> Iterator[int]:
-    """Positions of the set bits of a row mask, lowest first."""
+def bit_positions(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -165,7 +165,7 @@ class BinaryRelation:
         return bool(self.bits >> n * i + j & 1)
 
     def index_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, r in enumerate(self.rows) for j in _members(r))
+        return tuple((i, j) for i, r in enumerate(self.rows) for j in bit_positions(r))
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         labs = self.ground.labels
@@ -195,7 +195,7 @@ class BinaryRelation:
     def inverse(self) -> "BinaryRelation":
         rows = [0] * self.ground.size
         for i, r in enumerate(self.rows):
-            for j in _members(r):
+            for j in bit_positions(r):
                 rows[j] |= 1 << i
         return BinaryRelation.from_rows(self.ground, rows)
 

@@ -178,10 +178,11 @@ def parse_morphism(text: str, source_outcomes: GroundSet) -> tuple[dict[str, str
 def render_preference(pref: Preference) -> str:
     """Boolean matrix in strategy order plus readable pair lines."""
     labels = pref.ground.labels
+    width = f"0{len(labels)}b"
     lines = ["    " + " ".join(f"{lab:>3}" for lab in labels)]
     for x1, row in zip(labels, pref.rel.rows):
-        cells = " ".join(f"{row >> k & 1:>3}" for k in range(len(labels)))
-        lines.append(f"{x1:>3} {cells}")
+        # each cell is its bit right-aligned to 3 columns, one space apart
+        lines.append(f"{x1:>3}   " + "   ".join(format(row, width)[::-1]))
     for x1, x2 in pref.rel.pairs():
         lines.append(f"{x2} >= {x1}")
     return "\n".join(lines) + "\n"

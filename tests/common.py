@@ -51,6 +51,19 @@ def render_dmp(game: DMP) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_preference_reference(pref: Preference) -> str:
+    """The preference matrix and pair lines of `render_preference`, built
+    cell by cell: each label and each cell right-aligned to 3 columns."""
+    labels = pref.ground.labels
+    lines = ["    " + " ".join(f"{lab:>3}" for lab in labels)]
+    for x1, row in zip(labels, pref.rel.rows):
+        cells = " ".join(f"{row >> k & 1:>3}" for k in range(len(labels)))
+        lines.append(f"{x1:>3} {cells}")
+    for x1, x2 in pref.rel.pairs():
+        lines.append(f"{x2} >= {x1}")
+    return "\n".join(lines) + "\n"
+
+
 def render_morphism(mapping: dict[str, str], target: PartialOrder) -> str:
     """Morphism file text: the target's outcomes and order, then the map."""
     lines = [

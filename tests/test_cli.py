@@ -1,9 +1,11 @@
+import random
 import re
+import string
 import time
 
 import pytest
 
-from common import ground, le, render_dmp
+from common import ground, le, random_dmp, render_dmp, render_preference_reference
 
 from ordpref import fixtures, lattice
 from ordpref.cli import InputError, main, parse_monoid_spec
@@ -154,6 +156,21 @@ class TestRenderPreference:
         assert " x1" in text.splitlines()[0]
         assert "x1 >= x1" in text and "x2 >= x2" in text
         assert "x2 >= x1" not in text
+
+    def test_matches_the_cell_by_cell_rendering(self):
+        from ordpref.dmp import Preference, pareto
+
+        rng = random.Random(73)
+        for _ in range(30):
+            nx = rng.choice([1, 2, 3, rng.randint(4, 200)])
+            rows = pareto(random_dmp(rng, nx=nx, ny=rng.randint(1, 3), na=4)).rel.rows
+            labels: set[str] = set()
+            while len(labels) < nx:
+                width = rng.randint(1, 6)
+                labels.add("".join(rng.choices(string.ascii_letters + string.digits, k=width)))
+            g = GroundSet(tuple(rng.sample(sorted(labels), nx)))
+            pref = Preference(g, BinaryRelation.from_rows(g, rows))
+            assert render_preference(pref) == render_preference_reference(pref)
 
 
 class TestMonoidSpec:

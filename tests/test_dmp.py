@@ -360,6 +360,18 @@ class TestMorphisms:
         with pytest.raises(MorphismError, match="isotone"):
             apply_morphism(g, mapping, chain)
 
+    def test_partial_map_and_unknown_image_get_their_own_messages(self):
+        g = fixtures.example1()
+        chain = from_comparabilities(GroundSet(("lo", "hi")), [("lo", "hi")])
+        partial = {"0": "lo", "a": "lo", "b": "lo", "1": "hi"}
+        with pytest.raises(MorphismError) as exc:
+            apply_morphism(g, partial, chain)
+        assert str(exc.value) == "outcome map is not total: missing 'c'"
+        unknown = {a: "zz" for a in g.outcomes.ground.labels}
+        with pytest.raises(MorphismError) as exc:
+            apply_morphism(g, unknown, chain)
+        assert str(exc.value) == "image 'zz' of '0' is not a target outcome"
+
     def test_first_isotony_violation_is_reported(self):
         # pairs are checked in row order of the source order, so the first
         # one the map breaks is 0 <= a
